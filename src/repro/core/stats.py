@@ -380,6 +380,17 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(arr, q))
 
 
+def latency_percentile(values: Sequence[float], q: float) -> Optional[float]:
+    """``np.percentile`` rounded to 9 places, or None for no values.
+
+    The serving ledgers' latency summary: an idle class reports None
+    instead of raising, and the rounding keeps ledger JSON stable.
+    """
+    if not values:
+        return None
+    return round(float(np.percentile(np.asarray(values, dtype=float), q)), 9)
+
+
 def bootstrap_ci(
     values: Sequence[float],
     statistic: Callable[[np.ndarray], float] = np.median,

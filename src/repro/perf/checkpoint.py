@@ -148,13 +148,15 @@ class CheckpointStore:
                 for index, entry in sorted(self._shards.items())
             },
         }
+        # One line, not indented: the manifest is rewritten on every
+        # commit, and only the compact form takes json's C encoder.
         with atomic_writer(self._manifest_path()) as f:
-            f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            f.write(json.dumps(payload, sort_keys=True) + "\n")
 
     # -- commit / load ----------------------------------------------------
 
-    def _shard_file(self, shard: Shard) -> Path:
-        return self._root / f"shard-{shard.index:05d}.jsonl"
+    def _shard_file(self, index: int) -> Path:
+        return self._root / f"shard-{index:05d}.jsonl"
 
     def commit(self, shard: Shard, records: List[Any]) -> None:
         """Durably record one completed shard.
@@ -165,7 +167,7 @@ class CheckpointStore:
         (at worst the shard is re-executed on resume).
         """
         self._root.mkdir(parents=True, exist_ok=True)
-        path = self._shard_file(shard)
+        path = self._shard_file(shard.index)
         digest = hashlib.sha256()
         with atomic_writer(path) as f:
             for record in records:
@@ -182,12 +184,16 @@ class CheckpointStore:
         self._write_manifest()
         self.committed += 1
 
-    def load(self, shard: Shard) -> Optional[List[Any]]:
+    def load(
+        self, shard: Shard, head: Optional[int] = None
+    ) -> Optional[List[Any]]:
         """The shard's committed records, or None if it must re-execute.
 
         Verifies the manifest entry end to end — shard fingerprint,
         file presence, byte digest, record count — and drops the entry
-        (counting it in ``invalid``) on any mismatch.
+        (counting it in ``invalid``) on any mismatch.  With ``head``,
+        only the first ``head`` records are parsed and returned; the
+        checks still cover the whole file.
         """
         entry = self._shards.get(shard.index)
         if entry is None:
@@ -205,15 +211,16 @@ class CheckpointStore:
         if hashlib.sha256(raw).hexdigest() != entry.get("digest"):
             self._drop(shard.index)
             return None
-        records: List[Any] = []
         try:
-            for line in raw.decode("utf-8").splitlines():
-                if line.strip():
-                    records.append(json.loads(line))
+            lines = [
+                line for line in raw.decode("utf-8").splitlines()
+                if line.strip()
+            ]
+            records = [json.loads(line) for line in lines[:head]]
         except ValueError:
             self._drop(shard.index)
             return None
-        if len(records) != entry.get("n_records"):
+        if len(lines) != entry.get("n_records"):
             self._drop(shard.index)
             return None
         if self._decode:
@@ -224,6 +231,26 @@ class CheckpointStore:
     def _drop(self, index: int) -> None:
         self._shards.pop(index, None)
         self.invalid += 1
+
+    def retire_from(self, index: int) -> int:
+        """Forget every shard at or above ``index``; returns how many.
+
+        For stores whose shards form a chain (each one extends the
+        previous): a run resumed from shard ``j`` calls
+        ``retire_from(j + 1)`` before it commits ``j + 1``, so shards an
+        earlier run left above ``j`` can never be read as successors of
+        the new ones.  The manifest
+        is rewritten atomically *before* the files are deleted.
+        """
+        stale = [i for i in self._shards if i >= index]
+        if not stale:
+            return 0
+        for i in stale:
+            del self._shards[i]
+        self._write_manifest()
+        for i in stale:
+            self._shard_file(i).unlink(missing_ok=True)
+        return len(stale)
 
     # -- inspection / cleanup ---------------------------------------------
 

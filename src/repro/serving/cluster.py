@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.core.stats import latency_percentile
 from repro.errors import ConfigError, QueryRejectedError
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.clock import Clock, ManualClock
@@ -235,10 +234,10 @@ class ClusterMetrics:
         return out
 
     def p50_admitted_s(self) -> Optional[float]:
-        return _percentile(self.latencies(), 50)
+        return latency_percentile(self.latencies(), 50)
 
     def p99_admitted_s(self) -> Optional[float]:
-        return _percentile(self.latencies(), 99)
+        return latency_percentile(self.latencies(), 99)
 
     @property
     def shed_rate(self) -> float:
@@ -290,12 +289,6 @@ class ClusterMetrics:
             if i == 0:
                 lines.append("  ".join("-" * w for w in widths))
         return "\n".join(lines)
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    if not values:
-        return None
-    return round(float(np.percentile(np.asarray(values, dtype=float), q)), 9)
 
 
 class UsaasCluster:

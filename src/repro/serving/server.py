@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.stats import latency_percentile
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
@@ -108,15 +109,9 @@ class ClassCounters:
             "shed": self.shed,
             "deadline_exceeded": self.deadline_exceeded,
             "failed": self.failed,
-            "p50_latency_s": _percentile(self.latencies_s, 50),
-            "p99_latency_s": _percentile(self.latencies_s, 99),
+            "p50_latency_s": latency_percentile(self.latencies_s, 50),
+            "p99_latency_s": latency_percentile(self.latencies_s, 99),
         }
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    if not values:
-        return None
-    return round(float(np.percentile(np.asarray(values, dtype=float), q)), 9)
 
 
 @dataclass(frozen=True)
@@ -154,10 +149,10 @@ class ServingMetrics:
         return out
 
     def p50_latency_s(self) -> Optional[float]:
-        return _percentile(self.latencies(), 50)
+        return latency_percentile(self.latencies(), 50)
 
     def p99_latency_s(self) -> Optional[float]:
-        return _percentile(self.latencies(), 99)
+        return latency_percentile(self.latencies(), 99)
 
     def as_dict(self) -> Dict[str, object]:
         return {name: counters.as_dict() for name, counters in self.per_class}
@@ -168,8 +163,8 @@ class ServingMetrics:
                    "deadline", "failed", "p50", "p99")
         rows: List[Tuple[str, ...]] = [headers]
         for name, c in self.per_class:
-            p50, p99 = (_percentile(c.latencies_s, 50),
-                        _percentile(c.latencies_s, 99))
+            p50, p99 = (latency_percentile(c.latencies_s, 50),
+                        latency_percentile(c.latencies_s, 99))
             rows.append((
                 name, str(c.submitted), str(c.served),
                 str(c.served_degraded), str(c.shed),

@@ -17,8 +17,10 @@ The robustness core, in one place:
   (:mod:`repro.streaming.dedup`);
 * **bounded queues with backpressure** between pipeline stages;
 * **checkpointed operator state** via
-  :class:`~repro.perf.checkpoint.CheckpointStore` — crash mid-stream,
-  resume, and converge to byte-identical aggregates per seed;
+  :class:`~repro.perf.checkpoint.CheckpointStore`, one delta epoch per
+  checkpoint (bounded state plus only the new log entries) — crash
+  mid-stream, resume, and converge to byte-identical aggregates per
+  seed;
 * a **deterministic stream soak** asserting exact-once ledger closure
   (:mod:`repro.streaming.soak`).
 """

@@ -60,7 +60,8 @@ class DedupFilter:
 
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "entries": [[t, fp] for t, fp in self._order],
+            # (t, fp) tuples serialise as JSON arrays, like lists.
+            "entries": list(self._order),
             "evicted": self.evicted,
         }
 

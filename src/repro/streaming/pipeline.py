@@ -17,10 +17,18 @@ Stages, in delivery order:
 5. **incremental operators** → **change-point detector**.
 
 Every stage exposes ``state_dict``/``load_state``; a checkpoint drains
-the queues, snapshots all stages plus the emission log, and commits the
-lot as one epoch through :class:`~repro.perf.checkpoint.CheckpointStore`
-(run-keyed on the config fingerprint, so a checkpoint can never resume
-a different stream).  The exactly-once ledger —
+the queues and commits one epoch through
+:class:`~repro.perf.checkpoint.CheckpointStore`.  Epoch *k* holds the
+bounded stage state plus, for each append-only log (``emissions``,
+``side_channel`` and the detector's ``change_points``), only the
+entries added since epoch *k − 1*, tagged with the offset they start
+at — so a checkpoint costs the same at hour ten as at minute one.
+:meth:`StreamPipeline.resume` replays epochs 1..*k* in order and
+rebuilds from the longest contiguous prefix whose epochs verify and
+whose offsets chain.  The run key is the config fingerprint plus
+:data:`CHECKPOINT_LAYOUT`, so a checkpoint can never resume a
+different stream or be read in another layout.  The exactly-once
+ledger —
 
     emitted == aggregated + late_dropped + late_side + deduped + quarantined
 
@@ -34,9 +42,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.perf.checkpoint import CheckpointStore
@@ -57,6 +65,18 @@ PathLike = Union[str, Path]
 
 #: What to do with a record the watermark has already passed.
 LATE_POLICIES: Tuple[str, ...] = ("drop", "side")
+
+#: On-disk layout of a checkpoint epoch (bounded state + log deltas).
+#: Part of the run key: a directory written in another layout has a
+#: different key, so it is never read, only refused.
+CHECKPOINT_LAYOUT = "delta-1"
+
+#: The append-only logs an epoch stores as deltas, with their decoders.
+_LOG_DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+    "emissions": Emission.from_dict,
+    "side_channel": StreamRecord.from_dict,
+    "change_points": ChangePoint.from_dict,
+}
 
 
 @dataclass(frozen=True)
@@ -106,9 +126,13 @@ class StreamConfig:
         return asdict(self)
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical config JSON (checkpoint run key)."""
+        """SHA-256 over the canonical config JSON (keys checkpoints)."""
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def checkpoint_run_key(self) -> str:
+        """The checkpoint store's run key: fingerprint plus layout."""
+        return f"{self.fingerprint()}:{CHECKPOINT_LAYOUT}"
 
 
 @dataclass
@@ -225,6 +249,35 @@ class StreamResult:
         )
 
 
+def _epoch_shard(epoch: int) -> Shard:
+    return Shard(index=epoch, start=0, stop=0)
+
+
+def _chained_deltas(
+    records: Optional[List[Any]], epoch: int, logs: Dict[str, List[Any]]
+) -> Optional[Dict[str, List[Any]]]:
+    """One epoch's log deltas, or None unless they chain onto ``logs``.
+
+    ``records`` is what the store verified for ``epoch`` (None when it
+    failed); its first record holds the deltas, and each delta must
+    start at the length its log has reached.
+    """
+    if not records or not isinstance(records[0], dict):
+        return None
+    if records[0].get("epoch") != epoch:
+        return None
+    deltas = records[0].get("deltas")
+    if not isinstance(deltas, dict):
+        return None
+    chained: Dict[str, List[Any]] = {}
+    for name, log in logs.items():
+        delta = deltas.get(name)
+        if not isinstance(delta, dict) or delta.get("start") != len(log):
+            return None
+        chained[name] = delta.get("entries", [])
+    return chained
+
+
 def emissions_digest(emissions: List[Emission]) -> str:
     """Order-sensitive SHA-256 over the full emission log.
 
@@ -283,9 +336,12 @@ class StreamPipeline:
         self._store: Optional[CheckpointStore] = None
         if checkpoint_dir is not None:
             self._store = CheckpointStore(
-                checkpoint_dir, run_key=config.fingerprint()
+                checkpoint_dir, run_key=config.checkpoint_run_key()
             )
         self._epoch = 0
+        #: log name -> length the last committed epoch vouches for; the
+        #: next epoch stores only the entries past it.
+        self._committed: Dict[str, int] = dict.fromkeys(_LOG_DECODERS, 0)
         self._next_checkpoint_s = config.checkpoint_every_s
         self._finished = False
         #: fingerprint -> FIFO of fault-tag tuples for deliveries still
@@ -398,8 +454,6 @@ class StreamPipeline:
             self._to_detector.push(emission)
 
     def _drain_detector(self) -> None:
-        from dataclasses import replace as dc_replace
-
         emissions = self._to_detector.drain()
         for emission in emissions:
             self.emissions.append(emission)
@@ -413,7 +467,7 @@ class StreamPipeline:
                     self.trust_gate is not None
                     and self.trust_gate.burst_active(cp.at_s)
                 ):
-                    self.detector.change_points[-1] = dc_replace(
+                    self.detector.change_points[-1] = replace(
                         cp, suspect=True
                     )
         if self.journal is not None and emissions:
@@ -433,6 +487,14 @@ class StreamPipeline:
             self.checkpoint()
 
     def state_dict(self) -> Dict[str, Any]:
+        """Every stage's state except the append-only logs.
+
+        Bounded by configuration (watermark, reorder buffer, dedup
+        horizon, operator windows, detector tails, gate), not by how
+        long the stream has run; the logs travel as epoch deltas.
+        """
+        detector = self.detector.state_dict()
+        del detector["change_points"]
         return {
             "counters": self.counters.counters_dict(),
             "watermark": self.watermark.state_dict(),
@@ -440,9 +502,7 @@ class StreamPipeline:
             "dedup": self.dedup.state_dict(),
             "window_op": self.window_op.state_dict(),
             "decay_op": self.decay_op.state_dict(),
-            "detector": self.detector.state_dict(),
-            "emissions": [e.to_dict() for e in self.emissions],
-            "side_channel": [r.to_dict() for r in self.side_channel],
+            "detector": detector,
             "cursor": self.counters.emitted,
             "clock_s": self.clock.now(),
             "epoch": self._epoch,
@@ -462,6 +522,7 @@ class StreamPipeline:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output (the logs are not in it)."""
         self.counters.load_state(state.get("counters", {}))
         self.watermark.load_state(state.get("watermark", {}))
         self.buffer.load_state(state.get("buffer", {}))
@@ -469,13 +530,6 @@ class StreamPipeline:
         self.window_op.load_state(state.get("window_op", {}))
         self.decay_op.load_state(state.get("decay_op", {}))
         self.detector.load_state(state.get("detector", {}))
-        self.emissions = [
-            Emission.from_dict(e) for e in state.get("emissions", [])
-        ]
-        self.side_channel = [
-            StreamRecord.from_dict(r)
-            for r in state.get("side_channel", [])
-        ]
         self._epoch = int(state.get("epoch", 0))
         self._next_checkpoint_s = float(
             state.get("next_checkpoint_s", self.config.checkpoint_every_s)
@@ -493,7 +547,7 @@ class StreamPipeline:
             self.trust_gate.load_state(gate_state)
 
     def checkpoint(self) -> int:
-        """Drain, snapshot every stage, commit one epoch; returns it."""
+        """Drain, commit one epoch (state + log deltas); returns it."""
         if self._store is None:
             raise ConfigError("pipeline has no checkpoint directory")
         self.pump()
@@ -506,9 +560,28 @@ class StreamPipeline:
         self._next_checkpoint_s = (
             self.clock.now() + self.config.checkpoint_every_s
         )
+        logs = {
+            "emissions": self.emissions,
+            "side_channel": self.side_channel,
+            "change_points": self.detector.change_points,
+        }
+        deltas = {
+            name: {
+                "start": self._committed[name],
+                "entries": [
+                    entry.to_dict() for entry in log[self._committed[name]:]
+                ],
+            }
+            for name, log in logs.items()
+        }
+        # A run resumed below an earlier run's newest epoch must not
+        # leave that run's later epochs chained after this one.
+        self._store.retire_from(self._epoch)
         self._store.commit(
-            Shard(index=self._epoch, start=0, stop=0), [self.state_dict()]
+            _epoch_shard(self._epoch),
+            [{"epoch": self._epoch, "deltas": deltas}, self.state_dict()],
         )
+        self._committed = {name: len(log) for name, log in logs.items()}
         return self._epoch
 
     @classmethod
@@ -519,27 +592,44 @@ class StreamPipeline:
         journal: Optional[StreamJournal] = None,
         trust_gate: Optional[Any] = None,
     ) -> Tuple["StreamPipeline", int]:
-        """Rebuild a pipeline from its latest committed epoch.
+        """Rebuild a pipeline from its longest verified epoch prefix.
+
+        Epochs load in order from 1; each must pass the store's
+        fingerprint, digest and record-count checks, and each log delta
+        must start exactly where the previous epoch's ended.  The first
+        epoch that fails ends the prefix, and the pipeline is rebuilt
+        from the last one that passed.  Only that epoch's stage state
+        is parsed; the others contribute their deltas.
 
         Returns ``(pipeline, cursor)`` where ``cursor`` is the number of
-        deliveries the checkpoint had already ingested — the driver
-        replays the arrival sequence from that index and the result
-        converges byte-identically to an uninterrupted run.  The
-        journal, when given, is atomically truncated to the emissions
-        the checkpoint vouches for, so resumption re-emits nothing.
+        deliveries that epoch had already ingested — the driver replays
+        the arrival sequence from that index and the result converges
+        byte-identically to an uninterrupted run.  The journal, when
+        given, is atomically truncated to the emissions the epoch
+        vouches for, so resumption re-emits nothing.
         """
-        store = CheckpointStore(checkpoint_dir, run_key=config.fingerprint())
-        epochs = store.completed_indices()
-        state: Optional[Dict[str, Any]] = None
-        while epochs and state is None:
-            epoch = epochs.pop()
-            records = store.load(Shard(index=epoch, start=0, stop=0))
-            if records:
-                state = records[0]
-        if state is None:
+        store = CheckpointStore(
+            checkpoint_dir, run_key=config.checkpoint_run_key()
+        )
+        logs: Dict[str, List[Any]] = {name: [] for name in _LOG_DECODERS}
+        last = 0
+        for epoch in store.completed_indices():
+            if epoch != last + 1:
+                break
+            deltas = _chained_deltas(
+                store.load(_epoch_shard(epoch), head=1), epoch, logs
+            )
+            if deltas is None:
+                break
+            for name, entries in deltas.items():
+                logs[name].extend(map(_LOG_DECODERS[name], entries))
+            last = epoch
+        records = store.load(_epoch_shard(last)) if last else None
+        if not records or len(records) != 2:
             raise ConfigError(
                 f"no resumable checkpoint under {checkpoint_dir}"
             )
+        state = records[1]
         pipeline = cls(
             config,
             clock=ManualClock(start=float(state.get("clock_s", 0.0))),
@@ -548,6 +638,10 @@ class StreamPipeline:
             trust_gate=trust_gate,
         )
         pipeline.load_state(state)
+        pipeline.emissions = logs["emissions"]
+        pipeline.side_channel = logs["side_channel"]
+        pipeline.detector.change_points = logs["change_points"]
+        pipeline._committed = {name: len(log) for name, log in logs.items()}
         pipeline.counters.resumes += 1
         if journal is not None:
             journal.rewrite(pipeline.emissions)

@@ -50,6 +50,29 @@ class TestRoundTrip:
         assert store.completed_indices() == [0, 1]
         assert _store(tmp_path).completed_indices() == [0, 1]
 
+    def test_head_parses_a_prefix_but_verifies_the_whole_file(
+        self, tmp_path
+    ):
+        _primed(tmp_path)
+        assert _store(tmp_path).load(SHARD0, head=1) == RECORDS0[:1]
+        manifest_path = tmp_path / "ckpt" / MANIFEST_NAME
+        data = json.loads(manifest_path.read_text())
+        data["shards"]["0"]["n_records"] = 1
+        manifest_path.write_text(json.dumps(data))
+        fresh = _store(tmp_path)
+        assert fresh.load(SHARD0, head=1) is None  # count covers all lines
+        assert fresh.invalid == 1
+
+    def test_retire_from_forgets_later_shards_and_their_files(
+        self, tmp_path
+    ):
+        store = _primed(tmp_path)
+        assert store.retire_from(1) == 1
+        assert store.retire_from(1) == 0
+        assert not (store.root / "shard-00001.jsonl").exists()
+        assert _store(tmp_path).completed_indices() == [0]
+        assert _store(tmp_path).load(SHARD0) == RECORDS0
+
     def test_missing_shard_loads_none(self, tmp_path):
         store = _primed(tmp_path)
         assert store.load(Shard(index=7, start=9, stop=11)) is None

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.perf.checkpoint import CheckpointStore
+from repro.perf.parallel import Shard
 from repro.resilience.clock import ManualClock
 from repro.resilience.faults import FaultPlan, StreamFaultSpec
 from repro.streaming import (
@@ -33,13 +35,30 @@ def deliveries_for(seed, duration_s=240.0, rate_per_s=6.0, spec=SPEC):
     return FaultPlan(seed=seed).stream_faults("test", records, spec)
 
 
-def drive(pipeline, deliveries, start=0):
-    for delivery in deliveries[start:]:
+def ingest(pipeline, deliveries):
+    for delivery in deliveries:
         gap = delivery.at_s - pipeline.clock.now()
         if gap > 0:
             pipeline.clock.advance(gap)
         pipeline.ingest(delivery.record)
+
+
+def drive(pipeline, deliveries, start=0):
+    ingest(pipeline, deliveries[start:])
     return pipeline.finish()
+
+
+def ingest_until_epoch(pipeline, deliveries, epoch):
+    """Ingest until ``epoch`` is committed; returns the crash index."""
+    for i, delivery in enumerate(deliveries):
+        if pipeline.counters.checkpoints >= epoch:
+            return i
+        ingest(pipeline, [delivery])
+    raise AssertionError(f"stream ended before epoch {epoch}")
+
+
+def epoch_file(root, epoch):
+    return root / f"shard-{epoch:05d}.jsonl"
 
 
 class TestLedger:
@@ -230,6 +249,141 @@ class TestCheckpointResume:
             pipeline.ingest(StreamRecord(
                 event_time_s=2.0, source="t", metric="m", value=1.0,
             ))
+
+
+class TestDeltaCheckpoints:
+    """Epochs hold bounded state plus log deltas; resume chains them."""
+
+    def test_epoch_files_stop_growing_with_stream_age(self, tmp_path):
+        config = StreamConfig(seed=41)
+        pipeline = StreamPipeline(
+            config, clock=ManualClock(), checkpoint_dir=tmp_path,
+        )
+        drive(pipeline, deliveries_for(seed=41, duration_s=1800.0))
+        late = pipeline.counters.checkpoints
+        assert late >= 25
+        # By epoch 4 (240 s) the lateness (30 s) and dedup horizon
+        # (120 s) have filled, so the bounded state is at full size.
+        early = epoch_file(tmp_path, 4).stat().st_size
+        assert epoch_file(tmp_path, late).stat().st_size <= 1.5 * early
+
+    @pytest.mark.parametrize("second_crash", [False, True])
+    def test_corrupt_middle_epoch_falls_back_to_the_prefix(
+        self, tmp_path, second_crash
+    ):
+        config = StreamConfig(seed=31, checkpoint_every_s=30.0)
+        deliveries = deliveries_for(seed=31)
+        uninterrupted = drive(
+            StreamPipeline(
+                config, clock=ManualClock(),
+                checkpoint_dir=tmp_path / "a",
+            ),
+            deliveries,
+        )
+
+        root = tmp_path / "b"
+        pipeline = StreamPipeline(
+            config, clock=ManualClock(), checkpoint_dir=root,
+        )
+        ingest(pipeline, deliveries[: int(len(deliveries) * 0.9)])
+        newest = pipeline.counters.checkpoints
+        middle = newest // 2
+        assert middle >= 2
+        raw = bytearray(epoch_file(root, middle).read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        epoch_file(root, middle).write_bytes(bytes(raw))
+
+        resumed, cursor = StreamPipeline.resume(config, root)
+        assert resumed.counters.checkpoints == middle - 1
+        if second_crash:
+            # Committing the replacement epoch retires the first run's
+            # epochs above it, so this crash cannot chain onto them.
+            ingest_until_epoch(resumed, deliveries[cursor:], middle)
+            store = CheckpointStore(
+                root, run_key=config.checkpoint_run_key()
+            )
+            assert store.completed_indices() == list(range(1, middle + 1))
+            assert not epoch_file(root, middle + 1).exists()
+            resumed, cursor = StreamPipeline.resume(config, root)
+            assert resumed.counters.checkpoints == middle
+
+        result = drive(resumed, deliveries, start=cursor)
+        assert result.digest == uninterrupted.digest
+        assert result.change_points == uninterrupted.change_points
+        assert result.counters["resumes"] == 1 + second_crash
+        for key, value in result.counters.items():
+            if key != "resumes":
+                assert value == uninterrupted.counters[key], key
+
+    def test_an_earlier_runs_epochs_are_never_chained(self, tmp_path):
+        """A fresh run over a directory holding another stream's epochs
+        (same config) must not resume into them after its own crash."""
+        config = StreamConfig(seed=31, checkpoint_every_s=30.0)
+        ingest(
+            StreamPipeline(
+                config, clock=ManualClock(), checkpoint_dir=tmp_path,
+            ),
+            deliveries_for(seed=31),
+        )
+        deliveries = deliveries_for(seed=32)
+        uninterrupted = drive(
+            StreamPipeline(config, clock=ManualClock()), deliveries,
+        )
+        pipeline = StreamPipeline(
+            config, clock=ManualClock(), checkpoint_dir=tmp_path,
+        )
+        crash_at = ingest_until_epoch(pipeline, deliveries, 2)
+
+        resumed, cursor = StreamPipeline.resume(config, tmp_path)
+        assert resumed.counters.checkpoints == 2
+        assert cursor <= crash_at
+        result = drive(resumed, deliveries, start=cursor)
+        assert result.digest == uninterrupted.digest
+        assert result.change_points == uninterrupted.change_points
+
+    def test_side_channel_survives_crash_resume(self, tmp_path):
+        config = StreamConfig(
+            seed=21, late_policy="side", allowed_lateness_s=5.0,
+            dedup_horizon_s=5.0, reorder_capacity=8,
+            checkpoint_every_s=30.0,
+        )
+        deliveries = deliveries_for(seed=21)
+        plain = StreamPipeline(config, clock=ManualClock())
+        drive(plain, deliveries)
+
+        crashed = StreamPipeline(
+            config, clock=ManualClock(), checkpoint_dir=tmp_path,
+        )
+        ingest(crashed, deliveries[: int(len(deliveries) * 0.6)])
+        resumed, cursor = StreamPipeline.resume(config, tmp_path)
+        assert 0 < len(resumed.side_channel) < len(plain.side_channel)
+        drive(resumed, deliveries, start=cursor)
+
+        def dump(pipeline):
+            return "".join(
+                json.dumps(r.to_dict(), sort_keys=True) + "\n"
+                for r in pipeline.side_channel
+            )
+
+        assert dump(resumed) == dump(plain)
+
+    def test_full_history_layout_is_refused(self, tmp_path):
+        config = StreamConfig(seed=31, checkpoint_every_s=30.0)
+        pipeline = StreamPipeline(config, clock=ManualClock())
+        ingest(pipeline, deliveries_for(seed=31)[:500])
+        pipeline.pump()
+        # The earlier layout: one record per epoch carrying every log
+        # in full, under the bare config fingerprint.
+        legacy = pipeline.state_dict()
+        legacy["epoch"] = 1
+        legacy["emissions"] = [e.to_dict() for e in pipeline.emissions]
+        legacy["side_channel"] = []
+        legacy["detector"]["change_points"] = []
+        CheckpointStore(tmp_path, run_key=config.fingerprint()).commit(
+            Shard(index=1, start=0, stop=0), [legacy]
+        )
+        with pytest.raises(ConfigError, match="no resumable checkpoint"):
+            StreamPipeline.resume(config, tmp_path)
 
 
 class TestConfigAndQueue:
