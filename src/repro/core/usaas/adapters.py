@@ -16,9 +16,9 @@ import numpy as np
 from repro.core.signals import (
     ExplicitSignal,
     ImplicitSignal,
-    Signal,
     SignalKind,
     SignalSeries,
+    encode_column,
 )
 from repro.core.usaas.privacy import scrub_author
 from repro.errors import QueryError, SchemaError
@@ -78,12 +78,13 @@ class FallbackSentimentChain:
 
 #: Per-participant signal layout: four implicit rows, then the sparse
 #: explicit rating row.  Order matters — it is the record-path order.
-_TELEMETRY_METRICS = np.array(
-    ["presence", "cam_on", "mic_on", "drop_off", "rating"], dtype=object
-)
-_TELEMETRY_KINDS = np.array(
-    [SignalKind.IMPLICIT] * 4 + [SignalKind.EXPLICIT], dtype=object
-)
+_TELEMETRY_METRICS = ("presence", "cam_on", "mic_on", "drop_off", "rating")
+_KINDS = (SignalKind.IMPLICIT, SignalKind.EXPLICIT)
+_TELEMETRY_KIND_CODES = np.array([0, 0, 0, 0, 1], dtype=np.int32)
+
+
+def _scrubbed(identifiers: list) -> list:
+    return [scrub_author(i) for i in identifiers]
 
 
 def telemetry_signals(
@@ -151,9 +152,8 @@ def _telemetry_signals_columnar(
 ) -> SignalSeries:
     cols = participant_columns(dataset)
     n = len(cols)
-    series = SignalSeries()
     if n == 0:
-        return series
+        return SignalSeries()
 
     # Interleave: participant i contributes rows [starts[i], starts[i]+sizes[i])
     # — 4 implicit signals plus the rating row when one exists — so the
@@ -172,32 +172,28 @@ def _telemetry_signals_columnar(
     vmat[3] = 100.0 * cols.dropped_early
     vmat[4] = cols.rating  # NaN rows are never selected (pos 4 needs rated)
 
-    scrubbed: Dict[str, str] = {}
-    attrs_rows = []
-    for i in range(n):
-        uid = cols.user_id[i]
-        author = scrubbed.get(uid)
-        if author is None:
-            author = scrub_author(uid)
-            scrubbed[uid] = author
-        attrs_rows.append((
-            ("country", cols.country[i]),
-            ("platform", cols.platform[i]),
-            ("user", author),
-        ))
-
-    row_list = row.tolist()
-    series.extend_columns(
-        _TELEMETRY_KINDS[pos].tolist(),
-        [cols.call_start[r] for r in row_list],
-        network,
-        _TELEMETRY_METRICS[pos].tolist(),
-        vmat[pos, row],
-        service=service,
-        weight=1.0,
-        attrs=[attrs_rows[r] for r in row_list],
+    user, user_ids = encode_column(cols.user_id)
+    country, countries = encode_column(cols.country)
+    platform, platforms = encode_column(cols.platform)
+    starts_at = np.fromiter(cols.call_start, dtype=object, count=n)
+    zeros = np.zeros(total, dtype=np.int32)
+    return SignalSeries.from_codes(
+        kind=(_TELEMETRY_KIND_CODES[pos], _KINDS),
+        timestamps=starts_at[row],
+        day=np.fromiter(
+            (t.toordinal() for t in cols.call_start), dtype=np.int64, count=n
+        )[row],
+        network=(zeros, (network,)),
+        metric=(pos, _TELEMETRY_METRICS),
+        values=vmat[pos, row],
+        service=(zeros, (service,)),
+        weight=np.ones(total),
+        attrs={
+            "country": (country[row], countries),
+            "platform": (platform[row], platforms),
+            "user": (user[row], _scrubbed(user_ids)),
+        },
     )
-    return series
 
 
 def social_signals(
@@ -274,9 +270,7 @@ def social_signals_records(
     return series
 
 
-_SOCIAL_METRICS = np.array(
-    ["sentiment_polarity", "reported_downlink_mbps"], dtype=object
-)
+_SOCIAL_METRICS = ("sentiment_polarity", "reported_downlink_mbps")
 
 
 def _social_signals_columnar(
@@ -287,9 +281,8 @@ def _social_signals_columnar(
 ) -> SignalSeries:
     cols = corpus_columns(corpus)
     n = len(cols)
-    series = SignalSeries()
     if n == 0:
-        return series
+        return SignalSeries()
     block = cols.sentiment(analyzer)
 
     # Interleave: one polarity signal per post, plus the speed-report
@@ -316,31 +309,23 @@ def _social_signals_columnar(
     wmat[0] = np.maximum(1.0, cols.popularity)
     wmat[1] = 1.0
 
+    author, authors = encode_column(cols.author)
+    topic, topics = encode_column(cols.topic)
+    # Polarity rows carry the topic's service; speed rows carry none.
     topic_service = service_of_topic or {}
-    scrubbed: Dict[str, str] = {}
-    attrs_rows = []
-    services_row = []
-    for i in range(n):
-        author = scrubbed.get(cols.author[i])
-        if author is None:
-            author = scrub_author(cols.author[i])
-            scrubbed[cols.author[i]] = author
-        attrs_rows.append((("topic", cols.topic[i]), ("user", author)))
-        services_row.append(topic_service.get(cols.topic[i]))
-
-    row_list = row.tolist()
-    pos_list = pos.tolist()
-    series.extend_columns(
-        SignalKind.EXPLICIT,
-        [cols.created[r] for r in row_list],
-        network,
-        _SOCIAL_METRICS[pos].tolist(),
-        vmat[pos, row],
-        service=[
-            services_row[r] if p == 0 else None
-            for p, r in zip(pos_list, row_list)
-        ],
+    services = [None] + [topic_service.get(t) for t in topics]
+    service = np.where(pos == 0, topic[row] + 1, 0).astype(np.int32)
+    return SignalSeries.from_codes(
+        kind=(np.zeros(total, dtype=np.int32), (SignalKind.EXPLICIT,)),
+        timestamps=np.fromiter(cols.created, dtype=object, count=n)[row],
+        day=(cols.span_start.toordinal() + cols.day_index)[row],
+        network=(np.zeros(total, dtype=np.int32), (network,)),
+        metric=(pos, _SOCIAL_METRICS),
+        values=vmat[pos, row],
+        service=(service, services),
         weight=wmat[pos, row],
-        attrs=[attrs_rows[r] for r in row_list],
+        attrs={
+            "topic": (topic[row], topics),
+            "user": (author[row], _scrubbed(authors)),
+        },
     )
-    return series

@@ -16,11 +16,11 @@ multiplying it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.core.signals import Signal, SignalSeries
+from repro.core.signals import SignalSeries
 from repro.errors import ConfigError
 
 
@@ -44,37 +44,49 @@ class BiasCorrector:
             raise ConfigError("weight_cap_quantile must be in (0, 1]")
 
     def apply(self, series: SignalSeries) -> SignalSeries:
-        """Return the debiased series (original untouched)."""
-        signals: List[Signal] = list(series)
-        if not signals:
+        """Return the debiased series (original untouched).
+
+        The author cap keeps each (author, day) group's first
+        ``per_author_daily_cap`` signals in series order; signals without
+        a ``user`` attribute share the author ``"?"``.
+        """
+        if len(series) == 0:
             return SignalSeries()
-
+        keep = None
         if self.per_author_daily_cap > 0:
-            seen: Dict[Tuple[str, object], int] = {}
-            kept: List[Signal] = []
-            for signal in signals:
-                author = signal.attr("user") or "?"
-                key = (author, signal.date)
-                seen[key] = seen.get(key, 0) + 1
-                if seen[key] <= self.per_author_daily_cap:
-                    kept.append(signal)
-            signals = kept
+            codes, users = series.attr_codes("user")
+            index: Dict[str, int] = {}
+            author = np.array(
+                [index.setdefault(u or "?", len(index)) for u in users],
+                dtype=np.int64,
+            )[codes]
+            keep = _group_rank(author, series.day_ordinals()) < (
+                self.per_author_daily_cap
+            )
 
-        if self.weight_cap_quantile < 1 and signals:
-            weights = np.array([s.weight for s in signals])
-            cap = float(np.quantile(weights, self.weight_cap_quantile))
-            cap = max(cap, 1.0)
-            signals = [
-                Signal(
-                    kind=s.kind,
-                    timestamp=s.timestamp,
-                    network=s.network,
-                    metric=s.metric,
-                    value=s.value,
-                    service=s.service,
-                    weight=min(s.weight, cap),
-                    attrs=s.attrs,
-                )
-                for s in signals
-            ]
-        return SignalSeries(signals)
+        if self.weight_cap_quantile < 1:
+            weights = series.weight_array()
+            if keep is not None:
+                weights = weights[keep]
+            if len(weights):
+                cap = float(np.quantile(weights, self.weight_cap_quantile))
+                cap = max(cap, 1.0)
+                return series.take(keep, weight=np.minimum(weights, cap))
+        return series.take(keep)
+
+
+def _group_rank(*keys: np.ndarray) -> np.ndarray:
+    """Each row's 0-based position among the earlier rows sharing all
+    ``keys`` (a stable per-group rank, in row order)."""
+    n = len(keys[0])
+    order = np.lexsort((np.arange(n),) + tuple(reversed(keys)))
+    changed = np.zeros(n, dtype=bool)
+    changed[0] = True
+    for key in keys:
+        ordered = key[order]
+        changed[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(changed)
+    run_start = np.repeat(starts, np.diff(np.append(starts, n)))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - run_start
+    return rank

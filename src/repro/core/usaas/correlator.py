@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,20 +49,28 @@ class CorrelationFinding:
         return "negligible"
 
 
+def _day_arrays(daily: Dict[dt.date, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """(day ordinals, means) in the dict's order."""
+    return (
+        np.fromiter((d.toordinal() for d in daily), dtype=np.int64,
+                    count=len(daily)),
+        np.fromiter(daily.values(), dtype=float, count=len(daily)),
+    )
+
+
 def _joined(
-    a_daily: Dict[dt.date, float],
-    b_daily: Dict[dt.date, float],
+    a_days: np.ndarray,
+    a_values: np.ndarray,
+    b_sorted_days: np.ndarray,
+    b_sorted_values: np.ndarray,
     lag_days: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    xs: List[float] = []
-    ys: List[float] = []
-    lag = dt.timedelta(days=lag_days)
-    for day, value in a_daily.items():
-        shifted = day + lag
-        if shifted in b_daily:
-            xs.append(value)
-            ys.append(b_daily[shifted])
-    return np.asarray(xs), np.asarray(ys)
+    """Pairs (a on day d, b on day d + lag), in a's order."""
+    shifted = a_days + lag_days
+    pos = np.searchsorted(b_sorted_days, shifted)
+    pos[pos == len(b_sorted_days)] = 0
+    hit = b_sorted_days[pos] == shifted
+    return a_values[hit], b_sorted_values[pos[hit]]
 
 
 def correlate_series(
@@ -82,9 +90,13 @@ def correlate_series(
         raise AnalysisError(
             f"no data for {metric_a!r} or {metric_b!r}"
         )
+    a_days, a_values = _day_arrays(a_daily)
+    b_days, b_values = _day_arrays(b_daily)
+    order = np.argsort(b_days)
+    b_days, b_values = b_days[order], b_values[order]
     best: Optional[CorrelationFinding] = None
     for lag in range(-max_lag_days, max_lag_days + 1):
-        xs, ys = _joined(a_daily, b_daily, lag)
+        xs, ys = _joined(a_days, a_values, b_days, b_values, lag)
         if len(xs) < min_overlap_days:
             continue
         r = pearson(xs, ys)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.signals import SignalSeries
 from repro.errors import PrivacyError
 
@@ -49,7 +51,9 @@ class PrivacyGuard:
             raise PrivacyError("min_users must be >= 1")
 
     def distinct_users(self, series: SignalSeries) -> int:
-        return len({s.attr("user") for s in series if s.attr("user")})
+        codes, users = series.attr_codes("user")
+        present = np.bincount(codes, minlength=len(users)) > 0
+        return sum(1 for u, seen in zip(users, present.tolist()) if seen and u)
 
     def check(self, series: SignalSeries, context: str = "aggregate") -> None:
         """Raise PrivacyError when the series is too narrow to release."""
@@ -62,9 +66,13 @@ class PrivacyGuard:
 
     def assert_scrubbed(self, series: SignalSeries) -> None:
         """Raise when any signal carries an unscrubbed user identifier."""
-        for signal in series:
-            user = signal.attr("user")
-            if user and not is_scrubbed(user):
-                raise PrivacyError(
-                    f"signal at {signal.timestamp} carries raw identifier"
-                )
+        codes, users = series.attr_codes("user")
+        raw = np.array(
+            [bool(u) and not is_scrubbed(u) for u in users], dtype=bool
+        )
+        rows = np.flatnonzero(raw[codes])
+        if len(rows):
+            raise PrivacyError(
+                f"signal at {series[int(rows[0])].timestamp} carries raw "
+                f"identifier"
+            )

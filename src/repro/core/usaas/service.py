@@ -14,7 +14,7 @@ is that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -363,15 +363,13 @@ class UsaasService:
             statistic_target = "sentiment_polarity"
         if len(subset) == 0:
             return None
-        values: List[float] = []
-        kept: List[float] = []
-        for signal in subset:
-            unit = signal.attr("user")
-            trust = scores[unit].trust if unit in scores else 1.0
-            values.append(signal.value)
-            if trust > 0:
-                kept.append(signal.value)
-        if not kept:
+        codes, units = subset.attr_codes("user")
+        unit_trust = np.array(
+            [scores[u].trust if u in scores else 1.0 for u in units]
+        )
+        values = subset.value_array()
+        kept = values[unit_trust[codes] > 0]
+        if not len(kept):
             return None
         flags = sorted({
             flag for score in scores.values() for flag in score.flags
@@ -381,7 +379,7 @@ class UsaasService:
             n_flagged=sum(1 for s in scores.values() if s.trust < 1.0),
             contamination=contamination_estimate(scores),
             naive_value=float(np.mean(values)),
-            robust_value=float(trimmed_mean(np.array(kept, dtype=float))),
+            robust_value=float(trimmed_mean(kept)),
             statistic=f"trimmed_mean[{statistic_target}]",
             flags=tuple(flags),
         )
@@ -394,13 +392,15 @@ class UsaasService:
         min_group_size: int = 20,
     ) -> List[Insight]:
         """Per-attribute-value level insights (with a size floor)."""
-        groups: Dict[str, List[float]] = {}
-        for signal in subset:
-            value = signal.attr(attribute)
-            if value is not None:
-                groups.setdefault(value, []).append(signal.value)
+        codes, names = subset.attr_codes(attribute)
+        signal_values = subset.value_array()
+        present = [
+            c for c in np.unique(codes).tolist() if names[c] is not None
+        ]
         insights: List[Insight] = []
-        for name, values in sorted(groups.items()):
+        for code in sorted(present, key=lambda c: names[c]):
+            name = names[code]
+            values = signal_values[codes == code]
             if len(values) < min_group_size:
                 continue
             mean = float(np.mean(values))

@@ -29,6 +29,8 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
+from repro.core.signals import SignalSeries
+
 __all__ = [
     "TrustScore",
     "contamination_estimate",
@@ -204,51 +206,67 @@ def score_signal_units(signals: Iterable) -> Dict[str, TrustScore]:
     Groups by each signal's scrubbed ``user`` attribute (signals
     without one are not scored and keep weight 1).  Rating signals run
     the distribution test; per-day signal counts run the burst test.
-    Returns a unit-sorted dict, like the other scorers.
+    Returns a unit-sorted dict, like the other scorers.  Accepts a
+    :class:`~repro.core.signals.SignalSeries` (grouped as arrays) or any
+    iterable of signals.
     """
-    per_user: Dict[str, Dict[str, object]] = {}
-    for s in signals:
-        unit = s.attr("user")
-        if unit is None:
-            continue
-        entry = per_user.setdefault(unit, {"ratings": [], "days": {}})
-        if s.metric == "rating":
-            entry["ratings"].append(int(round(s.value)))
-        days = entry["days"]
-        days[s.date] = days.get(s.date, 0) + 1
+    series = signals if isinstance(signals, SignalSeries) else SignalSeries(signals)
+    codes, units = series.attr_codes("user")
+    scored = np.array([u is not None for u in units], dtype=bool)[codes]
+    unit = codes[scored].astype(np.int64)
+    day = series.day_ordinals()[scored]
+    n_codes = len(units)
+    n_items = np.bincount(unit, minlength=n_codes)
+    # Per-(unit, day) counts, then each unit's busiest day.
+    lo = int(day.min()) if len(day) else 0
+    span = int(day.max()) - lo + 1 if len(day) else 1
+    unit_day, day_counts = np.unique(
+        unit * span + (day - lo), return_counts=True
+    )
+    burst_peak = np.zeros(n_codes, dtype=np.int64)
+    np.maximum.at(burst_peak, unit_day // span, day_counts)
+    rated = series.matches(metric="rating")[scored]
+    stars = np.rint(series.value_array()[scored][rated])
+    rated_unit = unit[rated]
+    n_ratings = np.bincount(rated_unit, minlength=n_codes)
+    # Share of the commonest extreme star value; float64 division of
+    # the integer counts rounds exactly like Python's int / int.
+    bias = np.zeros(n_codes)
+    tested = n_ratings >= FRAUD_MIN_RATINGS
+    bias[tested] = np.maximum(*(
+        np.bincount(rated_unit[stars == extreme], minlength=n_codes)[tested]
+        / n_ratings[tested]
+        for extreme in (1, 5)
+    ))
+    fraud = bias >= FRAUD_CONSTANT_FRAC
+    burst = burst_peak >= BURST_DAY_POSTS
+    verdicts = {
+        (False, False): ((), 1.0),
+        (False, True): (("burst",), 0.5),
+        (True, False): (("rating_fraud",), 0.0),
+        (True, True): (("rating_fraud", "burst"), 0.0),
+    }
+    items, peaks, biases, frauds, bursts = (
+        a.tolist() for a in (n_items, burst_peak, bias, fraud, burst)
+    )
+    # One score per contributor: fill the frozen dataclass directly,
+    # skipping its per-field __setattr__ machinery (it validates nothing).
+    new = object.__new__
     scores: Dict[str, TrustScore] = {}
-    for unit in sorted(per_user):
-        entry = per_user[unit]
-        ratings = entry["ratings"]
-        days = entry["days"]
-        n_items = sum(days.values())
-        burst_peak = max(days.values())
-        bias = 0.0
-        flags = []
-        if len(ratings) >= FRAUD_MIN_RATINGS:
-            bias = max(
-                sum(1 for r in ratings if r == extreme) / len(ratings)
-                for extreme in (1, 5)
-            )
-            if bias >= FRAUD_CONSTANT_FRAC:
-                flags.append("rating_fraud")
-        if burst_peak >= BURST_DAY_POSTS:
-            flags.append("burst")
-        if "rating_fraud" in flags:
-            trust = 0.0
-        elif flags:
-            trust = 0.5
-        else:
-            trust = 1.0
-        scores[unit] = TrustScore(
-            unit=unit,
-            n_items=n_items,
+    present = np.flatnonzero(n_items).tolist()
+    for c in sorted(present, key=units.__getitem__):
+        flags, trust = verdicts[frauds[c], bursts[c]]
+        score = new(TrustScore)
+        score.__dict__.update(
+            unit=units[c],
+            n_items=items[c],
             duplicate_ratio=0.0,
-            burst_peak=burst_peak,
-            rating_bias=bias,
-            flags=tuple(flags),
+            burst_peak=peaks[c],
+            rating_bias=biases[c],
+            flags=flags,
             trust=trust,
         )
+        scores[units[c]] = score
     return scores
 
 

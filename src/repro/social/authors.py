@@ -70,13 +70,18 @@ class AuthorPool:
     as hardware actually ships.
     """
 
-    def __init__(self, size: int = 4000, seed: int = 0,
-                 span_start: dt.date = dt.date(2021, 1, 1),
-                 span_end: dt.date = dt.date(2022, 12, 31)) -> None:
+    @staticmethod
+    def check_config(size: int, span_start: dt.date, span_end: dt.date) -> None:
+        """The pool's config checks, without building the pool."""
         if size < 10:
             raise ConfigError("author pool needs at least 10 members")
         if span_end < span_start:
             raise ConfigError("span_end precedes span_start")
+
+    def __init__(self, size: int = 4000, seed: int = 0,
+                 span_start: dt.date = dt.date(2021, 1, 1),
+                 span_end: dt.date = dt.date(2022, 12, 31)) -> None:
+        self.check_config(size, span_start, span_end)
         rng = derive(seed, "social", "authors")
         span_days = (span_end - span_start).days
         self._authors: List[Author] = []

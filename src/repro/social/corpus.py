@@ -20,6 +20,7 @@ For each day the generator:
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -270,28 +271,52 @@ class CorpusGenerator:
             )
         else:
             self._satisfaction = self._perception.satisfaction(self._speeds)
-        # Per-day-independent ingredients, hoisted out of the day loop:
-        # the author pool, the outage pool (indexed by day instead of
-        # scanned per day), the base volume curve and the speed-share
-        # rate are all deterministic in the config alone.
-        self._pool = AuthorPool(
-            size=config.author_pool_size,
-            seed=config.seed,
-            span_start=config.span_start,
-            span_end=config.span_end,
-        )
-        self._outages_by_day: Dict[dt.date, List[Outage]] = {}
-        for outage in self._outages.generate():
-            self._outages_by_day.setdefault(outage.date, []).append(outage)
-        self._base_volume = self._base_daily_volume()
-        n_days = len(self._base_volume)
-        self._share_rate = config.speed_share_count / max(
-            1.0, config.posts_per_week * n_days / 7.0
+        # The world model (author pool, outage index, volume curve and
+        # speed-share rate) is built on first generation: a cache hit
+        # never needs it.  Its config checks still run here.
+        AuthorPool.check_config(
+            config.author_pool_size, config.span_start, config.span_end
         )
         #: ExecutionReport / CheckpointStore of the last generate() call
         #: (None until a run executes, and on cache hits).
         self.last_execution: Optional["ExecutionReport"] = None
         self.last_checkpoint: Optional["CheckpointStore"] = None
+
+    # -- world model (per-day-independent, deterministic in the config) ---
+
+    @functools.cached_property
+    def _pool(self) -> AuthorPool:
+        return AuthorPool(
+            size=self._config.author_pool_size,
+            seed=self._config.seed,
+            span_start=self._config.span_start,
+            span_end=self._config.span_end,
+        )
+
+    @functools.cached_property
+    def _outages_by_day(self) -> Dict[dt.date, List[Outage]]:
+        """The outage pool indexed by day instead of scanned per day."""
+        by_day: Dict[dt.date, List[Outage]] = {}
+        for outage in self._outages.generate():
+            by_day.setdefault(outage.date, []).append(outage)
+        return by_day
+
+    @functools.cached_property
+    def _base_volume(self) -> Dict[dt.date, float]:
+        return self._base_daily_volume()
+
+    @functools.cached_property
+    def _share_rate(self) -> float:
+        n_days = len(self._base_volume)
+        return self._config.speed_share_count / max(
+            1.0, self._config.posts_per_week * n_days / 7.0
+        )
+
+    def _build_world(self) -> None:
+        """Build the whole world model now, so shard workers receive it
+        instead of each rebuilding it."""
+        for name in ("_pool", "_outages_by_day", "_base_volume", "_share_rate"):
+            getattr(self, name)
 
     # -- day-level ingredients -------------------------------------------
 
@@ -483,6 +508,7 @@ class CorpusGenerator:
                 decode=post_from_record,
             )
         days = list(self._base_volume.items())
+        self._build_world()
         pm = ParallelMap(
             self._config.workers,
             policy=execution,

@@ -35,6 +35,43 @@ class TestCorpusConfig:
         assert len(corpus) > 0
 
 
+class TestLazyWorldModel:
+    CONFIG = CorpusConfig(
+        seed=8,
+        span_start=dt.date(2022, 3, 1),
+        span_end=dt.date(2022, 3, 10),
+        author_pool_size=150,
+    )
+
+    def test_cache_hit_never_builds_the_author_pool(self, tmp_path, monkeypatch):
+        from repro.perf import ArtifactCache
+        from repro.social.authors import AuthorPool
+
+        cache = ArtifactCache(tmp_path)
+        built = CorpusGenerator(self.CONFIG).generate(cache=cache)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("AuthorPool built on a cache hit")
+
+        monkeypatch.setattr(AuthorPool, "__init__", refuse)
+        hit = CorpusGenerator(self.CONFIG).generate(cache=cache)
+        assert cache.hits == 1
+        assert [p.post_id for p in hit] == [p.post_id for p in built]
+
+    def test_config_checks_stay_eager(self):
+        with pytest.raises(ConfigError, match="at least 10 members"):
+            CorpusGenerator(CorpusConfig(author_pool_size=5))
+
+    def test_world_model_is_built_once(self):
+        gen = CorpusGenerator(self.CONFIG)
+        assert "_pool" not in vars(gen)
+        first = gen.generate()
+        pool = gen._pool
+        second = gen.generate()
+        assert gen._pool is pool
+        assert [p.text for p in first] == [p.text for p in second]
+
+
 class TestGeneratedCorpus:
     def test_deterministic(self):
         config = CorpusConfig(

@@ -197,7 +197,10 @@ class TestOcrProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_clean_roundtrip_exact(self, provider, dl, ul, lat):
-        assume(dl > ul)  # physical for Starlink; the engine enforces it
+        # Physical for Starlink and enforced by the engine; checked on
+        # the rounded values the screenshot shows (5.04 vs 5.0 renders
+        # as 5.0 vs 5.0).
+        assume(round(dl, 1) > round(ul, 1))
         share = SpeedTestShare(
             provider=provider,
             download_mbps=round(dl, 1),
