@@ -84,10 +84,10 @@ def outage_keyword_series(
         # Columnar path: the shared sentiment block replaces per-post
         # scoring; the `negative_dominant` mask is the same comparison
         # as the reject filter below, so only keyword counting remains.
-        cols = corpus_columns(corpus)
-        block = cols.sentiment(analyzer)
+        block = corpus_columns(corpus).sentiment(analyzer)
+        posts = corpus.posts()
         for i in np.flatnonzero(block.negative_dominant).tolist():
-            post = cols.posts[i]
+            post = posts[i]
             count = dictionary.count_matches(post.thread_text)
             if count > 0:
                 occurrences.add(post.date, count)

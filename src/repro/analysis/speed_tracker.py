@@ -109,7 +109,9 @@ def track_speeds(
     # Share the one columnar corpus scan with the other §4 analyses
     # instead of re-walking every post for its speed test.
     if isinstance(corpus, RedditCorpus):
-        shares = corpus_columns(corpus).speed_share_posts()
+        posts = corpus.posts()
+        rows = corpus_columns(corpus).speed_indices.tolist()
+        shares = [posts[i] for i in rows]
     else:
         shares = corpus.speed_shares()
     per_month: Dict[Month, List[float]] = {}

@@ -112,8 +112,9 @@ def _cmd_generate_calls(args: argparse.Namespace) -> int:
         if bad is not None:
             return bad
         columns = gen.generate_columns(cache=cache)
-        columns.to_jsonl(args.out)
-        print(f"wrote {len(columns)} participant rows (columns) to {args.out}")
+        columns.save(args.out)
+        print(f"wrote {len(columns)} participant rows (column file) to "
+              f"{args.out}")
         if cache is not None:
             print(f"cache: {cache.stats().summary()}")
         return 0
@@ -148,8 +149,8 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
         if bad is not None:
             return bad
         columns = gen.generate_columns(cache=cache)
-        columns.to_jsonl(args.out)
-        print(f"wrote {len(columns)} post rows (columns) to {args.out}")
+        columns.save(args.out)
+        print(f"wrote {len(columns)} post rows (column file) to {args.out}")
         if cache is not None:
             print(f"cache: {cache.stats().summary()}")
         return 0
@@ -837,6 +838,8 @@ def _add_robustness_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.perf.cache import ARTIFACT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolbox for 'Don't Forget the User' "
@@ -850,9 +853,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mos-sample-rate", type=float, default=0.005)
     p.add_argument("--engine", choices=("record", "vectorized"),
                    default="record",
-                   help="record = per-call objects (reference path); "
-                        "vectorized = block simulation emitting columns "
-                        "JSONL (~10x faster, statistically equivalent)")
+                   help="record = per-call objects written as JSONL "
+                        "(reference path); vectorized = block simulation "
+                        "writing a binary column file (.npz, load with "
+                        "ParticipantColumns.load; ~10x faster, "
+                        "statistically equivalent)")
     p.add_argument("--workers", type=int, default=1,
                    help="generation processes (1 = serial, 0 = one per "
                         "CPU); output is byte-identical either way")
@@ -870,10 +875,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--authors", type=int, default=4000)
     p.add_argument("--engine", choices=("record", "vectorized"),
                    default="record",
-                   help="record = per-post objects (reference path); "
-                        "vectorized = per-day block simulation emitting "
-                        "columns JSONL (~8x faster, statistically "
-                        "equivalent)")
+                   help="record = per-post objects written as JSONL "
+                        "(reference path); vectorized = per-day block "
+                        "simulation writing a binary column file (.npz, "
+                        "load with CorpusColumns.load; ~8x faster, "
+                        "statistically equivalent)")
     p.add_argument("--workers", type=int, default=1,
                    help="generation processes (1 = serial, 0 = one per "
                         "CPU); output is byte-identical either way")
@@ -893,12 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp = cache_sub.add_parser(name, help=help_text)
         cp.add_argument("--cache-dir", required=True)
         if name == "invalidate":
-            cp.add_argument("--kind",
-                            choices=("calls", "corpus",
-                                     "participant-columns",
-                                     "participant-columns-vec",
-                                     "corpus-columns",
-                                     "corpus-columns-vec"),
+            cp.add_argument("--kind", choices=tuple(ARTIFACT_KINDS),
                             help="only drop artifacts of this kind")
         cp.set_defaults(fn=_cmd_cache)
 

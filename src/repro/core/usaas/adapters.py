@@ -298,13 +298,7 @@ def _social_signals_columnar(
 
     vmat = np.empty((2, n))
     vmat[0] = block.polarity
-    vmat[1] = np.nan
-    speed_idx = cols.speed_indices.tolist()
-    vmat[1, cols.speed_indices] = np.fromiter(
-        (cols.posts[i].speed_test.download_mbps for i in speed_idx),
-        dtype=float,
-        count=len(speed_idx),
-    )
+    vmat[1] = cols.speed_download_mbps
     wmat = np.empty((2, n))
     wmat[0] = np.maximum(1.0, cols.popularity)
     wmat[1] = 1.0

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.signals import SignalSeries
 from repro.engagement.early_warning import DriftDetector
@@ -62,27 +64,33 @@ def watch_metric(
     subset = series.filter(metric=metric)
     if len(subset) == 0:
         raise AnalysisError(f"no signals carry metric {metric!r}")
-    by_day: Dict[dt.date, List[float]] = {}
-    for signal in subset:
-        by_day.setdefault(signal.date, []).append(signal.value)
+    # Group by day ordinal: a stable sort keeps each day's values in
+    # series order, and bincount sums in that order (np.sum would add
+    # pairwise and round differently), so day means keep their bits.
+    days = subset.day_ordinals()
+    values = subset.value_array()
+    ordinals, group, counts = np.unique(
+        days, return_inverse=True, return_counts=True
+    )
+    sums = np.bincount(group, weights=values, minlength=len(ordinals))
+    by_day = values[np.argsort(days, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
 
     detector = detector or DriftDetector()
     alarms: List[Alarm] = []
     previously_alarmed = False
-    for day in sorted(by_day):
-        values = by_day[day]
-        z = detector.observe(values)
+    for g, ordinal in enumerate(ordinals.tolist()):
+        z = detector.observe(by_day[bounds[g]:bounds[g + 1]])
         if detector.has_alarmed and not previously_alarmed:
             alarms.append(Alarm(
-                day=day,
+                day=dt.date.fromordinal(ordinal),
                 metric=metric,
                 z_score=float(z) if z is not None else float("nan"),
-                day_mean=float(sum(values) / len(values)),
-                n_signals=len(values),
+                day_mean=float(sums[g] / counts[g]),
+                n_signals=int(counts[g]),
             ))
             if rearm:
-                detector._alarmed = False
-                detector._streak = 0
+                detector.rearm()
             else:
                 previously_alarmed = True
     return alarms

@@ -73,6 +73,12 @@ class DriftDetector:
     def has_alarmed(self) -> bool:
         return self._alarmed
 
+    def rearm(self) -> None:
+        """Clear a raised alarm and the suspicious-day streak, keeping
+        the learned baseline, so the next episode alarms afresh."""
+        self._alarmed = False
+        self._streak = 0
+
     def observe(self, values: Sequence[float]) -> Optional[float]:
         """Feed one day of per-session values; returns the day's z-score
         once warmed up (None during warmup or for empty days)."""

@@ -39,17 +39,23 @@ class atomic_writer:
     """Context manager: write to ``<path>.tmp``, replace on clean exit.
 
     On an exception the temporary file is removed and the destination is
-    untouched.  Usable by any text export, not just JSONL.
+    untouched.  Usable by any text export, not just JSONL; with
+    ``encoding=None`` the handle is binary.
     """
 
-    def __init__(self, path: PathLike, encoding: str = "utf-8") -> None:
+    def __init__(
+        self, path: PathLike, encoding: Optional[str] = "utf-8"
+    ) -> None:
         self._path = Path(path)
         self._tmp = self._path.with_name(self._path.name + ".tmp")
         self._encoding = encoding
         self._handle = None
 
     def __enter__(self):
-        self._handle = open(self._tmp, "w", encoding=self._encoding)
+        if self._encoding is None:
+            self._handle = open(self._tmp, "wb")
+        else:
+            self._handle = open(self._tmp, "w", encoding=self._encoding)
         return self._handle
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -21,6 +21,7 @@ failure and resume model, §6 for the columnar layer).
 """
 
 from repro.perf.cache import (
+    ARTIFACT_KINDS,
     ARTIFACT_SCHEMA_VERSION,
     ArtifactCache,
     CacheStats,
@@ -53,6 +54,7 @@ from repro.perf.parallel import (
 from repro.perf.watchdog import StragglerRecord, StragglerReport, Watchdog
 
 __all__ = [
+    "ARTIFACT_KINDS",
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactCache",
     "CacheStats",

@@ -321,7 +321,10 @@ class CallDatasetGenerator:
         :attr:`population` for post-hoc inspection.
 
         With ``cache``, the dataset is loaded from (or persisted to) the
-        content-addressed artifact cache instead of resimulating.
+        content-addressed artifact cache instead of resimulating: a hit
+        loads the ``participant-columns`` block and decodes the call
+        records only when something asks for them (see
+        :func:`repro.perf.columnar.load_with_columns`).
 
         ``execution`` tunes the fault-tolerance layer (shard retries,
         watchdog timeout, in-process fallback); ``checkpoint_dir``
@@ -338,12 +341,16 @@ class CallDatasetGenerator:
             execution=execution, checkpoint_dir=checkpoint_dir, chaos=chaos,
         )
         if cache is not None:
-            return cache.load_or_build(
+            from repro.perf.columnar import load_with_columns
+
+            return load_with_columns(
+                cache,
                 "calls",
                 self._config,
                 build=build,
                 load=CallDataset.from_jsonl,
                 dump=lambda dataset, path: dataset.to_jsonl(path),
+                lazy=CallDataset.from_columns,
             )
         return build()
 

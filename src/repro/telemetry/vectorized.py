@@ -229,8 +229,8 @@ class VectorizedCallEngine:
                 "participant-columns-vec",
                 self._config,
                 build=self._build,
-                load=ParticipantColumns.from_jsonl,
-                dump=lambda cols, path: cols.to_jsonl(path),
+                load=ParticipantColumns.load,
+                dump=ParticipantColumns.save,
             )
         return self._build()
 

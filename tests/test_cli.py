@@ -51,6 +51,58 @@ class TestGenerate:
         assert shares and shares[0].speed_test.download_mbps > 0
 
 
+class TestVectorizedExport:
+    """``--engine vectorized --out`` writes a binary column file that
+    loads back to exactly the block ``generate_columns()`` builds."""
+
+    def test_calls_column_file_round_trip(self, tmp_path, capsys):
+        from repro.perf.columnar import ParticipantColumns
+        from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+        from tests.perf.test_columnar import _assert_participant_columns_equal
+
+        path = tmp_path / "calls.npz"
+        assert main([
+            "generate-calls", "--engine", "vectorized", "--n-calls", "30",
+            "--seed", "5", "--out", str(path),
+        ]) == 0
+        assert "column file" in capsys.readouterr().out
+        want = CallDatasetGenerator(
+            GeneratorConfig(n_calls=30, seed=5)
+        ).generate_columns()
+        _assert_participant_columns_equal(ParticipantColumns.load(path), want)
+
+    def test_corpus_column_file_round_trip(self, tmp_path):
+        import numpy as np
+
+        from repro.perf.columnar import CorpusColumns
+        from repro.social import CorpusConfig, CorpusGenerator
+
+        path = tmp_path / "posts.npz"
+        assert main([
+            "generate-corpus", "--engine", "vectorized", "--seed", "5",
+            "--start", "2022-01-01", "--end", "2022-02-28",
+            "--authors", "300", "--out", str(path),
+        ]) == 0
+        want = CorpusGenerator(CorpusConfig(
+            seed=5, span_start=dt.date(2022, 1, 1),
+            span_end=dt.date(2022, 2, 28), author_pool_size=300,
+        )).generate_columns()
+        got = CorpusColumns.load(path)
+        assert (got.span_start, got.span_end) == (want.span_start,
+                                                  want.span_end)
+        for name in ("post_id", "author", "topic", "full_text", "created",
+                     "month"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("day_index", "popularity", "speed_indices",
+                     "speed_download_mbps"):
+            assert getattr(got, name).tobytes() == (
+                getattr(want, name).tobytes()
+            ), name
+        assert np.isfinite(got.speed_download_mbps).sum() == len(
+            got.speed_indices
+        )
+
+
 class TestAnalyze:
     def test_analyze_teams_runs(self, calls_path, capsys):
         code = main(["analyze-teams", "--calls", str(calls_path),

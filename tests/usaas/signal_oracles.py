@@ -16,7 +16,9 @@ import numpy as np
 
 from repro.core.signals import Signal, SignalKind
 from repro.core.stats import trimmed_mean
+from repro.core.usaas.monitoring import Alarm
 from repro.core.usaas.privacy import is_scrubbed
+from repro.engagement.early_warning import DriftDetector
 from repro.errors import PrivacyError, SchemaError
 from repro.integrity.trust import (
     BURST_DAY_POSTS,
@@ -192,3 +194,31 @@ def breakdown_means(
         (name, len(values), float(np.mean(values)))
         for name, values in sorted(groups.items())
     ]
+
+
+def watch_metric(
+    signals: List[Signal], metric: str, detector: DriftDetector, rearm: bool
+) -> List[Alarm]:
+    """The per-signal day loop of :func:`repro.core.usaas.watch_metric`."""
+    by_day: Dict[dt.date, List[float]] = {}
+    for signal in signals:
+        if signal.metric == metric:
+            by_day.setdefault(signal.date, []).append(signal.value)
+    alarms: List[Alarm] = []
+    previously_alarmed = False
+    for day in sorted(by_day):
+        values = by_day[day]
+        z = detector.observe(values)
+        if detector.has_alarmed and not previously_alarmed:
+            alarms.append(Alarm(
+                day=day,
+                metric=metric,
+                z_score=float(z) if z is not None else float("nan"),
+                day_mean=float(sum(values) / len(values)),
+                n_signals=len(values),
+            ))
+            if rearm:
+                detector.rearm()
+            else:
+                previously_alarmed = True
+    return alarms

@@ -225,3 +225,49 @@ class TestSeriesMatchesOracle:
             (name, n) for name, n, _ in want
         ]
         assert [bits(m) for _, _, m in got] == [bits(m) for _, _, m in want]
+
+
+@st.composite
+def monitored_rows(draw):
+    """Several weeks of one metric with level shifts (so the detector
+    alarms, sometimes more than once), other-metric noise, and rows
+    shuffled so a day's signals are not contiguous."""
+    rows = []
+    for day in range(draw(st.integers(4, 30))):
+        level = draw(st.sampled_from([70.0, 70.0, 70.0, 40.0]))
+        for _ in range(draw(st.integers(1, 20))):
+            rows.append(Signal(
+                kind=SignalKind.IMPLICIT,
+                timestamp=BASE + dt.timedelta(
+                    days=day, hours=draw(st.sampled_from([0, 9, 23]))),
+                network="starlink",
+                metric=draw(st.sampled_from(["presence"] * 4 + ["cam_on"])),
+                value=level + draw(st.floats(-9, 9, allow_nan=False)),
+            ))
+    return draw(st.permutations(rows))
+
+
+class TestWatchMetricMatchesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(monitored_rows(), st.booleans(), st.integers(3, 6),
+           st.sampled_from([0.5, 1.5, 3.0]), st.integers(1, 2),
+           st.sampled_from(["drop", "rise", "both"]))
+    def test_alarms(self, rows, rearm, warmup, z, streak, direction):
+        from repro.core.usaas import watch_metric
+        from repro.engagement.early_warning import DriftDetector
+
+        def detector():
+            return DriftDetector(warmup_days=warmup, z_threshold=z,
+                                 consecutive_days=streak, direction=direction)
+
+        got_detector, want_detector = detector(), detector()
+        got = watch_metric(SignalSeries(rows), "presence", got_detector,
+                           rearm=rearm)
+        want = oracle.watch_metric(rows, "presence", want_detector, rearm)
+        assert got == want
+        assert [(a.day, bits(a.z_score), bits(a.day_mean), a.n_signals)
+                for a in got] == [
+            (a.day, bits(a.z_score), bits(a.day_mean), a.n_signals)
+            for a in want
+        ]
+        assert got_detector == want_detector  # same state left behind

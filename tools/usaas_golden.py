@@ -9,7 +9,9 @@ renders each answer's summary, source-health and trust tables the way
 with its evidence at full float precision (the summary withholds
 low-confidence findings and rounds what it shows).  ``--write`` stores
 the text under ``tests/usaas/golden/``; ``--check`` renders it again and
-compares.
+compares — twice per seed: once on freshly generated data, and once on
+data served by a warm artifact cache (filled first, then read by fresh
+generator instances from the column blocks alone, records undecoded).
 
     python tools/usaas_golden.py --check    # exit 0 equal, 1 differs
     python tools/usaas_golden.py --write    # refresh the golden files
@@ -24,8 +26,9 @@ import argparse
 import datetime as dt
 import difflib
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:
@@ -37,6 +40,7 @@ from repro.core.usaas import (  # noqa: E402
     social_signals,
     telemetry_signals,
 )
+from repro.perf import ArtifactCache  # noqa: E402
 from repro.social import CorpusConfig, CorpusGenerator  # noqa: E402
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig  # noqa: E402
 
@@ -91,17 +95,32 @@ def render_evidence(report) -> str:
     return "\n".join(lines)
 
 
-def render_seed(seed: int) -> str:
-    """Every query's rendered answer for one dataset seed."""
+def datasets(seed: int, cache: Optional[ArtifactCache] = None):
+    """The seed's call dataset and corpus, from fresh generators."""
     calls = CallDatasetGenerator(
         GeneratorConfig(n_calls=N_CALLS, seed=seed)
-    ).generate()
+    ).generate(cache=cache)
     corpus = CorpusGenerator(CorpusConfig(
         seed=seed, span_start=CORPUS_SPAN[0], span_end=CORPUS_SPAN[1],
         author_pool_size=AUTHORS,
-    )).generate()
+    )).generate(cache=cache)
+    return calls, corpus
+
+
+def render_seed(seed: int, cache: Optional[ArtifactCache] = None) -> str:
+    """Every query's rendered answer for one dataset seed.
+
+    With ``cache`` (empty on entry), one pass fills it and every query
+    is then answered on datasets that fresh generators read back from it.
+    """
+    if cache is None:
+        calls, corpus = datasets(seed)
+    else:
+        datasets(seed, cache)
     blocks = []
     for i, query in enumerate(queries()):
+        if cache is not None:
+            calls, corpus = datasets(seed, cache)
         service = UsaasService()
         service.register_source(
             "telemetry", lambda: telemetry_signals(calls, network=NETWORK)
@@ -121,18 +140,33 @@ def golden_path(seed: int) -> Path:
     return GOLDEN_DIR / f"seed{seed}.txt"
 
 
-def check() -> Dict[int, str]:
-    """Seed -> unified diff for every seed whose answers changed."""
-    diffs: Dict[int, str] = {}
-    for seed in SEEDS:
-        path = golden_path(seed)
-        want = path.read_text(encoding="utf-8") if path.exists() else ""
-        got = render_seed(seed)
-        if got != want:
-            diffs[seed] = "".join(difflib.unified_diff(
-                want.splitlines(keepends=True), got.splitlines(keepends=True),
-                fromfile=str(path), tofile=f"rendered seed {seed}",
-            ))
+def check() -> Dict[Tuple[int, str], str]:
+    """(seed, "fresh" | "cache hit") -> unified diff (or why the cache
+    pass did not hit) for every answer that changed."""
+    diffs: Dict[Tuple[int, str], str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            path = golden_path(seed)
+            want = path.read_text(encoding="utf-8") if path.exists() else ""
+            cache = ArtifactCache(Path(tmp) / str(seed))
+            for source, got in (
+                ("fresh", render_seed(seed)),
+                ("cache hit", render_seed(seed, cache)),
+            ):
+                if got != want:
+                    diffs[seed, source] = "".join(difflib.unified_diff(
+                        want.splitlines(keepends=True),
+                        got.splitlines(keepends=True), fromfile=str(path),
+                        tofile=f"rendered seed {seed} ({source})",
+                    ))
+            # The fill misses on four entries (two record entries, two
+            # column blocks); each answer then reads the two blocks only.
+            expected = (4, 2 * len(queries()))
+            if (cache.misses, cache.hits) != expected:
+                diffs[seed, "cache hit"] = (
+                    f"cache misses/hits {cache.misses}/{cache.hits}, "
+                    f"expected {expected[0]}/{expected[1]}\n"
+                )
     return diffs
 
 
@@ -151,10 +185,11 @@ def main(argv=None) -> int:
             print(f"wrote {golden_path(seed).relative_to(REPO)}")
         return 0
     diffs = check()
-    for seed, diff in diffs.items():
-        print(f"seed {seed}: answers differ\n{diff}")
+    for (seed, source), diff in diffs.items():
+        print(f"seed {seed} ({source}) differs:\n{diff}")
     if not diffs:
-        print(f"golden answers match for seeds {', '.join(map(str, SEEDS))}")
+        print(f"golden answers match for seeds {', '.join(map(str, SEEDS))}"
+              " (fresh and cache-hit data)")
     return 1 if diffs else 0
 
 
