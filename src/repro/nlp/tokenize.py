@@ -22,6 +22,12 @@ _TOKEN_RE = re.compile(
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 
+def token_patterns() -> List[str]:
+    """The regular expressions :func:`tokenize` applies, in order (part
+    of the sentiment scorer's fingerprint)."""
+    return [_URL_RE.pattern, _MENTION_RE.pattern, _TOKEN_RE.pattern]
+
+
 def tokenize(text: str, lowercase: bool = False) -> List[str]:
     """Split text into word / number / punctuation-burst tokens.
 

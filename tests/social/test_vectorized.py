@@ -36,7 +36,8 @@ def assert_columns_identical(a, b):
     for name in ("post_id", "author", "topic", "full_text", "created",
                  "month"):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("day_index", "popularity", "speed_indices"):
+    for name in ("day_index", "popularity", "speed_indices",
+                 "speed_download_mbps"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
@@ -55,11 +56,9 @@ class TestDeterminism:
         built = columns_for(11, cache=cache)
         loaded = columns_for(11, cache=cache)
         assert_columns_identical(built, loaded)
-        # The vectorized path never materializes Post objects; the cache
-        # must round-trip that honestly rather than inventing them.
-        assert built.posts is None and loaded.posts is None
-        with pytest.raises(SchemaError):
-            loaded.speed_share_posts()
+        # The vectorized path never materializes Post objects: the block
+        # is all there is, and it round-trips alone.
+        assert cache.stats().by_kind == {"corpus-columns-vec": 1}
 
 
 class TestRecordEquivalence:
@@ -132,6 +131,9 @@ class TestConcat:
             month=[(2022, 3)] * n,
             popularity=np.arange(n, dtype=float),
             speed_indices=np.array(sorted(speed_at), dtype=np.int64),
+            speed_download_mbps=np.array(
+                [100.0 + i if i in speed_at else np.nan for i in range(n)]
+            ),
         )
 
     def test_rejects_empty_chunk_list(self):
@@ -155,4 +157,7 @@ class TestConcat:
         merged = CorpusColumns.concat([a, b])
         assert len(merged) == 7
         assert merged.speed_indices.tolist() == [1, 3, 5]
+        assert merged.speed_download_mbps[merged.speed_indices].tolist() == [
+            101.0, 100.0, 102.0,
+        ]
         assert merged.post_id == a.post_id + b.post_id

@@ -25,3 +25,22 @@ def test_golden_files_cover_every_seed_and_query():
         text = tool.golden_path(seed).read_text(encoding="utf-8")
         assert text.count("=== query ") == len(tool.queries())
         assert "source health:" in text and "trust:" in text
+
+
+def test_corrupted_cache_hit_decode_is_caught(monkeypatch):
+    """The cache-hit pass compares what a warm hit decodes: a block
+    decoder that halves one column fails the check on that pass only."""
+    import dataclasses
+
+    from repro.perf.columnar import ParticipantColumns
+
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "SEEDS", tool.SEEDS[:1])
+    load = ParticipantColumns.load
+
+    def lossy(path):
+        cols = load(path)
+        return dataclasses.replace(cols, presence_pct=cols.presence_pct / 2)
+
+    monkeypatch.setattr(ParticipantColumns, "load", lossy)
+    assert set(tool.check()) == {(tool.SEEDS[0], "cache hit")}
