@@ -166,6 +166,12 @@ def _timed_vec(fn: Callable[[], Any]) -> Dict[str, Any]:
     return best
 
 
+def _require_clean(problems) -> None:
+    """Fail the run on a soak's problems (see ``repro.resilience.soak``)."""
+    if problems:
+        raise AssertionError("; ".join(message for _, message in problems))
+
+
 def run_perf_suite(
     scale: PerfScale,
     cache_root: Path,
@@ -405,44 +411,14 @@ def run_perf_suite(
     ] / max(1e-9, timeline_warm["seconds"])
 
     # --- serving phase: deterministic overload soak ---------------------
-    from repro.core.usaas import UsaasQuery
-    from repro.resilience import FaultPlan, ManualClock
-    from repro.resilience.faults import LoadSpikeSpec
-    from repro.serving import UsaasServer, run_soak
-    from repro.serving.soak import (
-        estimated_service_time_s,
-        synthetic_soak_service,
-    )
+    from repro.serving.cluster_soak import overload_cluster_soak
+    from repro.serving.soak import overload_soak
 
-    slow_s = 0.05
-
-    def soak_once():
-        clock = ManualClock()
-        plan = FaultPlan(seed=scale.seed, clock=clock)
-        service = synthetic_soak_service(plan, slow_s=slow_s)
-        rate = 5.0 / estimated_service_time_s(slow_s)
-        arrivals = plan.load_spikes("perf-soak", LoadSpikeSpec(
-            rate_per_s=rate,
-            duration_s=scale.soak_duration_s,
-            priority_mix=(
-                ("interactive", 0.6), ("batch", 0.3), ("monitoring", 0.1),
-            ),
-            deadline_s=1.0,
-        ))
-        server = UsaasServer(service, max_pending=8, shed_policy="priority")
-        query = UsaasQuery(network="starlink", service="teams")
-        return run_soak(server, arrivals, query_for=lambda arrival: query)
-
-    soak = _timed(soak_once)
+    soak = _timed(lambda: overload_soak(
+        scale.seed, stream="perf-soak", duration_s=scale.soak_duration_s,
+    ))
     report = soak["value"]
-    if not report.accounted:
-        raise AssertionError(
-            "soak accounting violated: submitted != sum of terminal states"
-        )
-    if not report.drain.clean:
-        raise AssertionError(
-            f"soak drain left work behind: {report.drain.summary()}"
-        )
+    _require_clean(report.problems())
     results["serving_soak_wall_s"] = soak["seconds"]
     results["serving_arrivals_n"] = report.arrivals
     results["serving_served"] = report.served
@@ -461,56 +437,17 @@ def run_perf_suite(
     )
 
     # --- cluster phase: failover soak under replica loss ----------------
-    from repro.resilience import ReplicaFaultSpec
-    from repro.serving import run_cluster_soak, synthetic_cluster
-
+    # One replica crashes mid-spike and recovers for the tail (the
+    # default fault timeline), so the recorded p99 is the *failover*
+    # p99, not the healthy one.
     n_replicas = 3
-
-    def cluster_soak_once():
-        cluster, cluster_plan = synthetic_cluster(
-            seed=scale.seed, n_replicas=n_replicas, slow_s=slow_s,
-        )
-        rate = 5.0 * n_replicas / estimated_service_time_s(slow_s)
-        arrivals = cluster_plan.cluster_load_spikes(
-            "perf-cluster-soak",
-            LoadSpikeSpec(
-                rate_per_s=rate,
-                duration_s=scale.soak_duration_s,
-                priority_mix=(
-                    ("interactive", 0.6), ("batch", 0.3),
-                    ("monitoring", 0.1),
-                ),
-                deadline_s=1.0,
-            ),
-            tenant_mix=(("alpha", 2.0), ("beta", 1.0)),
-        )
-        # One replica crashes mid-spike and recovers for the tail, so
-        # the recorded p99 is the *failover* p99, not the healthy one.
-        events = cluster_plan.replica_faults(
-            "perf-cluster-soak",
-            ReplicaFaultSpec(
-                replica="r1", kind="crash",
-                at_s=scale.soak_duration_s * 0.375,
-                down_s=scale.soak_duration_s * 0.25,
-            ),
-        )
-        query = UsaasQuery(network="starlink", service="teams")
-        return run_cluster_soak(
-            cluster, arrivals, events, query_for=lambda arrival: query
-        )
-
-    cluster_soak = _timed(cluster_soak_once)
+    cluster_soak = _timed(lambda: overload_cluster_soak(
+        scale.seed, stream="perf-cluster-soak", n_replicas=n_replicas,
+        duration_s=scale.soak_duration_s,
+        tenant_mix=(("alpha", 2.0), ("beta", 1.0)),
+    ))
     cluster_report = cluster_soak["value"]
-    if not cluster_report.accounted:
-        raise AssertionError(
-            "cluster soak accounting violated: the cluster-wide ledger "
-            "did not close exactly once per query"
-        )
-    if cluster_report.drain["leftover"]:
-        raise AssertionError(
-            f"cluster drain left {cluster_report.drain['leftover']} "
-            f"queries behind"
-        )
+    _require_clean(cluster_report.problems())
     results["cluster_soak_wall_s"] = cluster_soak["seconds"]
     results["cluster_replicas_n"] = n_replicas
     results["cluster_arrivals_n"] = cluster_report.arrivals
@@ -549,17 +486,7 @@ def run_perf_suite(
         rate_per_s=stream_rate,
     ))
     stream_report = stream_soak["value"]
-    if not stream_report.ledger_closed:
-        raise AssertionError(
-            "stream soak accounting violated: the exactly-once ledger "
-            "did not close"
-        )
-    if stream_report.blind_rate > 0:
-        raise AssertionError(
-            f"stream soak detector blind: "
-            f"{stream_report.detected}/{len(stream_report.degradations)} "
-            f"injected degradations detected"
-        )
+    _require_clean(stream_report.problems())
     results["streaming_soak_wall_s"] = stream_soak["seconds"]
     results["streaming_deliveries_n"] = stream_report.n_deliveries
     results["streaming_records_per_wall_s"] = (
@@ -743,25 +670,11 @@ def run_perf_suite(
             )
             for i, t in enumerate(at_s)
         ]
-        return run_prediction_soak(server, arrivals), batch_cost
+        return run_prediction_soak(server, arrivals)
 
     soak_timing = _timed(prediction_soak_once)
-    prediction_report, batch_cost = soak_timing["value"]
-    if not prediction_report.accounted:
-        raise AssertionError(
-            "prediction soak accounting violated: submitted != sum of "
-            "terminal states"
-        )
-    if prediction_report.deadline_exceeded:
-        raise AssertionError(
-            f"{prediction_report.deadline_exceeded} prediction(s) were "
-            f"answered past their deadline instead of degrading"
-        )
-    if prediction_report.max_overrun_s > batch_cost:
-        raise AssertionError(
-            f"prediction answered {prediction_report.max_overrun_s:.4f}s "
-            f"over budget (> one batch cost {batch_cost:.4f}s)"
-        )
+    prediction_report = soak_timing["value"]
+    _require_clean(prediction_report.problems())
     results["prediction_soak_wall_s"] = soak_timing["seconds"]
     results["prediction_soak_submitted"] = prediction_report.submitted
     results["prediction_soak_served"] = prediction_report.served

@@ -39,6 +39,26 @@ def _open_cache(args: argparse.Namespace):
     return ArtifactCache(args.cache_dir)
 
 
+def _soak_exit(args: argparse.Namespace, payload, text, problems) -> int:
+    """Print a soak's outcome and map its problems to the exit code.
+
+    Prints ``payload`` as JSON under ``--json``, else the lines of
+    ``text()``; then each problem's message on stderr.  Returns the
+    first problem's code (0 when there are none).
+    """
+    import json
+
+    from repro.resilience.soak import verdict
+
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(text()))
+    for _, message in problems:
+        print(message, file=sys.stderr)
+    return verdict(problems)
+
+
 def _execution_policy(args: argparse.Namespace):
     """The ExecutionPolicy the generate flags describe (None = defaults)."""
     retries = getattr(args, "max_shard_retries", None)
@@ -264,7 +284,6 @@ def _cmd_analyze_starlink(args: argparse.Namespace) -> int:
 def _cmd_usaas_stream_soak(args: argparse.Namespace) -> int:
     """Deterministic streaming-ingestion soak with arrival chaos."""
     import dataclasses
-    import json
 
     from repro.streaming import StreamConfig, run_stream_soak
     from repro.streaming.soak import DEFAULT_STREAM_FAULTS
@@ -296,32 +315,16 @@ def _cmd_usaas_stream_soak(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         journal_path=args.journal,
     )
-    if args.json:
-        print(json.dumps(report.counters_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"seed {args.seed}: {args.rate_per_s:.1f} records/s for "
-              f"{args.duration_s:.1f}s (simulated), "
-              f"{report.crashes} crash(es)")
-        print(report.summary())
-        for cp in report.change_points:
-            print("  " + cp.summary())
-    if not report.ledger_closed:
-        print("accounting violation: the exactly-once ledger did not "
-              "close", file=sys.stderr)
-        return 2
-    if report.blind_rate > args.blind_threshold:
-        print(f"detector blind: {report.detected}/"
-              f"{len(report.degradations)} injected degradations "
-              f"detected (blind rate {report.blind_rate:.2f} > "
-              f"{args.blind_threshold:.2f})", file=sys.stderr)
-        return 3
-    return 0
+    return _soak_exit(args, report.counters_dict(), lambda: [
+        f"seed {args.seed}: {args.rate_per_s:.1f} records/s for "
+        f"{args.duration_s:.1f}s (simulated), {report.crashes} crash(es)",
+        report.summary(),
+        *("  " + cp.summary() for cp in report.change_points),
+    ], report.problems(args.blind_threshold))
 
 
 def _cmd_usaas_integrity_soak(args: argparse.Namespace) -> int:
     """Deterministic ε-contamination sweep over the aggregation paths."""
-    import json
-
     from repro.integrity import run_integrity_soak
 
     report = run_integrity_soak(
@@ -330,25 +333,17 @@ def _cmd_usaas_integrity_soak(args: argparse.Namespace) -> int:
         mos_sample_rate=args.mos_sample_rate,
         corpus_weeks=args.corpus_weeks,
     )
-    if args.json:
-        print(json.dumps(report.counters_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"seed {args.seed}: eps sweep "
-              f"{', '.join(f'{e:g}' for e in report.eps_grid)} over "
-              f"{args.n_calls} calls / {args.corpus_weeks} corpus week(s)")
-        print(report.table())
-        print(report.summary())
-    for violation in report.violations:
-        print(f"integrity violation: {violation}", file=sys.stderr)
-    for miss in report.ineffective:
-        print(f"sweep ineffective: {miss}", file=sys.stderr)
-    return report.exit_code
+    return _soak_exit(args, report.counters_dict(), lambda: [
+        f"seed {args.seed}: eps sweep "
+        f"{', '.join(f'{e:g}' for e in report.eps_grid)} over "
+        f"{args.n_calls} calls / {args.corpus_weeks} corpus week(s)",
+        report.table(),
+        report.summary(),
+    ], report.problems())
 
 
 def _cmd_usaas_predict(args: argparse.Namespace) -> int:
     """Fit the columnar MOS predictor and grade it against ground truth."""
-    import json
-
     import numpy as np
 
     from repro.errors import InsufficientRatingsError
@@ -393,7 +388,6 @@ def _cmd_usaas_predict(args: argparse.Namespace) -> int:
     }
 
     soak = None
-    one_batch_s = None
     if args.soak_queries:
         rng = derive(args.seed, "prediction", "cli-soak")
         at_s = np.cumsum(
@@ -407,60 +401,27 @@ def _cmd_usaas_predict(args: argparse.Namespace) -> int:
             )
             for i, t in enumerate(at_s)
         ]
-        server, _, engine = synthetic_prediction_server(
+        server, _, _ = synthetic_prediction_server(
             cols, model, seed=args.seed,
             coalescer=CoalescerConfig(
                 max_batch=args.max_batch, max_delay_s=args.max_delay_s
             ),
         )
         soak = run_prediction_soak(server, arrivals)
-        one_batch_s = engine.cost_model.batch_cost_s(
-            args.max_batch * len(cols)
-        )
         payload["soak"] = soak.counters_dict()
 
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"seed {args.seed}: {len(cols)} sessions, "
-              f"{payload['rated']} rated "
-              f"({100 * args.mos_sample_rate:.1f}% prompted)")
-        print("model vs experienced QoE:")
-        print(report_model.table())
-        print(f"E-model prior MAE {report_prior.mae:.4f} "
-              f"(bias {report_prior.bias:+.4f})")
-        if soak is not None:
-            print(soak.summary())
-
-    if soak is not None:
-        if not soak.accounted:
-            print("accounting violation: submitted != sum(terminal "
-                  "states) for predict_mos", file=sys.stderr)
-            return 3
-        if soak.deadline_exceeded:
-            print(f"deadline violation: {soak.deadline_exceeded} "
-                  f"prediction(s) answered past their budget",
-                  file=sys.stderr)
-            return 3
-        if soak.max_overrun_s > one_batch_s:
-            print(f"deadline violation: answered {soak.max_overrun_s:.4f}s "
-                  f"over budget (> one batch cost {one_batch_s:.4f}s)",
-                  file=sys.stderr)
-            return 3
-    return 0
+    return _soak_exit(args, payload, lambda: [
+        f"seed {args.seed}: {len(cols)} sessions, {payload['rated']} rated "
+        f"({100 * args.mos_sample_rate:.1f}% prompted)",
+        "model vs experienced QoE:",
+        report_model.table(),
+        f"E-model prior MAE {report_prior.mae:.4f} "
+        f"(bias {report_prior.bias:+.4f})",
+        *([soak.summary()] if soak is not None else []),
+    ], soak.problems() if soak is not None else ())
 
 
 def _cmd_usaas(args: argparse.Namespace) -> int:
-    if getattr(args, "usaas_command", None) == "predict":
-        return _cmd_usaas_predict(args)
-    if getattr(args, "usaas_command", None) == "soak":
-        return _cmd_usaas_soak(args)
-    if getattr(args, "usaas_command", None) == "cluster-soak":
-        return _cmd_usaas_cluster_soak(args)
-    if getattr(args, "usaas_command", None) == "stream-soak":
-        return _cmd_usaas_stream_soak(args)
-    if getattr(args, "usaas_command", None) == "integrity-soak":
-        return _cmd_usaas_integrity_soak(args)
     from repro.core.usaas import (
         UsaasQuery,
         UsaasService,
@@ -565,55 +526,25 @@ def _cmd_usaas(args: argparse.Namespace) -> int:
 
 def _cmd_usaas_soak(args: argparse.Namespace) -> int:
     """Deterministic overload soak against a synthetic USaaS service."""
-    import json
+    from repro.serving.soak import overload_soak
 
-    from repro.core.usaas import UsaasQuery
-    from repro.resilience import FaultPlan, ManualClock
-    from repro.resilience.faults import LoadSpikeSpec
-    from repro.serving import UsaasServer, run_soak
-    from repro.serving.soak import (
-        estimated_service_time_s,
-        synthetic_soak_service,
-    )
-
-    clock = ManualClock()
-    plan = FaultPlan(seed=args.seed, clock=clock)
-    service = synthetic_soak_service(
-        plan, slow_s=args.slow_s, include_flaky=args.include_flaky
-    )
-    rate = args.overload / estimated_service_time_s(args.slow_s)
-    arrivals = plan.load_spikes("soak", LoadSpikeSpec(
-        rate_per_s=rate,
+    report = overload_soak(
+        args.seed,
+        overload=args.overload,
         duration_s=args.duration_s,
-        priority_mix=(
-            ("interactive", 0.6), ("batch", 0.3), ("monitoring", 0.1),
-        ),
         deadline_s=args.deadline_s,
-    ))
-    server = UsaasServer(
-        service,
         max_pending=args.max_pending,
         shed_policy=args.shed_policy,
+        slow_s=args.slow_s,
+        include_flaky=args.include_flaky,
     )
-    query = UsaasQuery(network="starlink", service="teams")
-    report = run_soak(server, arrivals, query_for=lambda arrival: query)
-    if args.json:
-        print(json.dumps(report.counters_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"seed {args.seed}: {args.overload:.1f}x capacity for "
-              f"{args.duration_s:.1f}s (simulated)")
-        print(report.summary())
-        print()
-        print(report.metrics.table())
-    if not report.accounted:
-        print("accounting violation: submitted != sum(terminal states)",
-              file=sys.stderr)
-        return 2
-    if not report.drain.clean:
-        print("drain left work behind: " + report.drain.summary(),
-              file=sys.stderr)
-        return 2
-    return 0
+    return _soak_exit(args, report.counters_dict(), lambda: [
+        f"seed {args.seed}: {args.overload:.1f}x capacity for "
+        f"{args.duration_s:.1f}s (simulated)",
+        report.summary(),
+        "",
+        report.metrics.table(),
+    ], report.problems())
 
 
 def _parse_tenant(spec: str):
@@ -690,85 +621,28 @@ def _parse_replica_fault(spec: str):
 
 def _cmd_usaas_cluster_soak(args: argparse.Namespace) -> int:
     """Deterministic multi-replica soak with scheduled replica faults."""
-    import json
+    from repro.serving.cluster_soak import overload_cluster_soak
 
-    from repro.core.usaas import UsaasQuery
-    from repro.resilience import ReplicaFaultSpec
-    from repro.resilience.faults import LoadSpikeSpec
-    from repro.serving import run_cluster_soak, synthetic_cluster
-    from repro.serving.soak import estimated_service_time_s
-
-    tenants = tuple(args.tenant or ())
-    cluster, plan = synthetic_cluster(
-        seed=args.seed,
+    report = overload_cluster_soak(
+        args.seed,
         n_replicas=args.replicas,
-        slow_s=args.slow_s,
+        overload=args.overload,
+        duration_s=args.duration_s,
+        deadline_s=args.deadline_s,
         max_pending=args.max_pending,
         shed_policy=args.shed_policy,
-        tenants=tenants,
+        slow_s=args.slow_s,
         include_flaky=args.include_flaky,
+        tenants=tuple(args.tenant or ()),
+        fault_specs=args.fault,
     )
-    # One replica serves ~1/est queries per simulated second, so the
-    # cluster-wide overload factor scales the rate by the replica count.
-    rate = (
-        args.overload * args.replicas
-        / estimated_service_time_s(args.slow_s)
-    )
-    tenant_mix = (
-        tuple((t.name, t.weight) for t in tenants)
-        if tenants else (("default", 1.0),)
-    )
-    arrivals = plan.cluster_load_spikes(
-        "cluster-soak",
-        LoadSpikeSpec(
-            rate_per_s=rate,
-            duration_s=args.duration_s,
-            priority_mix=(
-                ("interactive", 0.6), ("batch", 0.3), ("monitoring", 0.1),
-            ),
-            deadline_s=args.deadline_s,
-        ),
-        tenant_mix=tenant_mix,
-    )
-    fault_specs = args.fault
-    if fault_specs is None:
-        # Default outage: crash the second replica mid-spike, recover
-        # for the tail of the spike — the canonical failover story.
-        victim = "r1" if args.replicas > 1 else "r0"
-        fault_specs = [ReplicaFaultSpec(
-            replica=victim, kind="crash",
-            at_s=args.duration_s * 0.375,
-            down_s=args.duration_s * 0.25,
-        )]
-    events = (
-        plan.replica_faults("cluster-soak", *fault_specs)
-        if fault_specs else ()
-    )
-    query = UsaasQuery(network="starlink", service="teams")
-    report = run_cluster_soak(
-        cluster, arrivals, events, query_for=lambda arrival: query
-    )
-    if args.json:
-        print(json.dumps(report.counters_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"seed {args.seed}: {args.overload:.1f}x capacity across "
-              f"{args.replicas} replicas for {args.duration_s:.1f}s "
-              f"(simulated)")
-        print(report.summary())
-        print()
-        print(report.metrics.table())
-    if not report.accounted:
-        print("accounting violation: cluster ledger did not close",
-              file=sys.stderr)
-        return 2
-    if report.drain["leftover"]:
-        print(f"drain left {report.drain['leftover']} queries behind",
-              file=sys.stderr)
-        return 2
-    if report.submitted and not (report.served + report.served_degraded):
-        print("total outage: nothing was served", file=sys.stderr)
-        return 3
-    return 0
+    return _soak_exit(args, report.counters_dict(), lambda: [
+        f"seed {args.seed}: {args.overload:.1f}x capacity across "
+        f"{args.replicas} replicas for {args.duration_s:.1f}s (simulated)",
+        report.summary(),
+        "",
+        report.metrics.table(),
+    ], report.problems())
 
 
 def _cmd_plan_launches(args: argparse.Namespace) -> int:
@@ -835,6 +709,42 @@ def _add_robustness_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--keep-checkpoint", action="store_true",
                    help="keep the checkpoint directory after a "
                         "successful run instead of discarding it")
+
+
+def _soak_parent(
+    json_help: str = "emit the stable counters dict as JSON",
+) -> argparse.ArgumentParser:
+    """``--seed`` and ``--json``, which every soak subcommand takes."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--json", action="store_true", help=json_help)
+    return p
+
+
+def _serving_soak_parent(
+    overload_help: str,
+    flaky_help: str,
+    max_pending_help: Optional[str] = None,
+) -> argparse.ArgumentParser:
+    """The load and admission flags ``soak`` and ``cluster-soak`` share.
+
+    Their help text differs between the two commands only where given.
+    """
+    p = argparse.ArgumentParser(add_help=False, parents=[_soak_parent()])
+    p.add_argument("--overload", type=float, default=5.0, metavar="X",
+                   help=overload_help)
+    p.add_argument("--duration-s", type=float, default=4.0,
+                   help="spike duration in simulated seconds")
+    p.add_argument("--deadline-s", type=float, default=1.0,
+                   help="per-query deadline budget (simulated seconds)")
+    p.add_argument("--max-pending", type=int, default=8,
+                   help=max_pending_help)
+    p.add_argument("--shed-policy", choices=("reject", "lifo", "priority"),
+                   default="priority")
+    p.add_argument("--slow-s", type=float, default=0.05,
+                   help="simulated per-source fetch latency")
+    p.add_argument("--include-flaky", action="store_true", help=flaky_help)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -973,6 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
     usaas_sub = p.add_subparsers(dest="usaas_command", required=False)
     sp = usaas_sub.add_parser(
         "soak",
+        parents=[_serving_soak_parent(
+            overload_help="arrival rate as a multiple of service capacity",
+            flaky_help="add an always-failing source so answers are "
+                       "degraded and retries burn deadline budget",
+        )],
         help="deterministic overload soak on a synthetic service",
         description="Drive a synthetic USaaS service through a seeded "
                     "load spike on a simulated clock: every arrival, "
@@ -980,26 +895,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "--seed, so the same invocation always produces "
                     "byte-identical counters.",
     )
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--overload", type=float, default=5.0, metavar="X",
-                    help="arrival rate as a multiple of service capacity")
-    sp.add_argument("--duration-s", type=float, default=4.0,
-                    help="spike duration in simulated seconds")
-    sp.add_argument("--deadline-s", type=float, default=1.0,
-                    help="per-query deadline budget (simulated seconds)")
-    sp.add_argument("--max-pending", type=int, default=8)
-    sp.add_argument("--shed-policy",
-                    choices=("reject", "lifo", "priority"),
-                    default="priority")
-    sp.add_argument("--slow-s", type=float, default=0.05,
-                    help="simulated per-source fetch latency")
-    sp.add_argument("--include-flaky", action="store_true",
-                    help="add an always-failing source so answers are "
-                         "degraded and retries burn deadline budget")
-    sp.add_argument("--json", action="store_true",
-                    help="emit the stable counters dict as JSON")
+    sp.set_defaults(fn=_cmd_usaas_soak)
     cp = usaas_sub.add_parser(
         "cluster-soak",
+        parents=[_serving_soak_parent(
+            overload_help="arrival rate as a multiple of *cluster* "
+                          "capacity (replicas x per-replica capacity)",
+            max_pending_help="per-replica bounded admission queue",
+            flaky_help="add an always-failing source per replica",
+        )],
         help="deterministic multi-replica soak with replica faults",
         description="Drive an N-replica USaaS cluster through a seeded "
                     "load spike while replicas crash, hang, slow down or "
@@ -1013,25 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
                "or drain left work behind (a bug, not load); 3 = total "
                "outage — queries arrived but none were served",
     )
-    cp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cp.set_defaults(fn=_cmd_usaas_cluster_soak)
     cp.add_argument("--replicas", type=int, default=3, metavar="N",
                     help="number of simulated replicas on the hash ring")
-    cp.add_argument("--overload", type=float, default=5.0, metavar="X",
-                    help="arrival rate as a multiple of *cluster* "
-                         "capacity (replicas x per-replica capacity)")
-    cp.add_argument("--duration-s", type=float, default=4.0,
-                    help="spike duration in simulated seconds")
-    cp.add_argument("--deadline-s", type=float, default=1.0,
-                    help="per-query deadline budget (simulated seconds)")
-    cp.add_argument("--max-pending", type=int, default=8,
-                    help="per-replica bounded admission queue")
-    cp.add_argument("--shed-policy",
-                    choices=("reject", "lifo", "priority"),
-                    default="priority")
-    cp.add_argument("--slow-s", type=float, default=0.05,
-                    help="simulated per-source fetch latency")
-    cp.add_argument("--include-flaky", action="store_true",
-                    help="add an always-failing source per replica")
     cp.add_argument("--fault", action="append", metavar="SPEC",
                     type=_parse_replica_fault,
                     help="replica fault replica:kind:at_s[:...] — "
@@ -1049,10 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "adds an absolute token-bucket quota.  "
                          "Repeatable; arrivals are drawn across the "
                          "configured tenants by weight")
-    cp.add_argument("--json", action="store_true",
-                    help="emit the stable counters dict as JSON")
     ssp = usaas_sub.add_parser(
         "stream-soak",
+        parents=[_soak_parent()],
         help="deterministic streaming-ingestion soak with arrival chaos",
         description="Mangle a seeded synthetic measurement stream "
                     "(delay, reorder, duplicate, optional crashes) and "
@@ -1068,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                "chaos); 3 = detector blind — more degradations were "
                "missed than --blind-threshold allows",
     )
-    ssp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ssp.set_defaults(fn=_cmd_usaas_stream_soak)
     ssp.add_argument("--duration-s", type=float, default=600.0,
                      help="stream span in simulated seconds")
     ssp.add_argument("--rate-per-s", type=float, default=8.0,
@@ -1103,10 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "without one)")
     ssp.add_argument("--journal", metavar="PATH",
                      help="append-only emission journal (JSONL)")
-    ssp.add_argument("--json", action="store_true",
-                     help="emit the stable counters dict as JSON")
     ip = usaas_sub.add_parser(
         "integrity-soak",
+        parents=[_soak_parent()],
         help="deterministic eps-contamination sweep of the trust-weighted "
              "aggregates",
         description="Inject seeded adversarial data faults — review "
@@ -1130,17 +1016,18 @@ def build_parser() -> argparse.ArgumentParser:
                "scoring flagged nothing under attack / flagged clean "
                "contributors at eps=0",
     )
-    ip.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ip.set_defaults(fn=_cmd_usaas_integrity_soak)
     ip.add_argument("--n-calls", type=int, default=240,
                     help="simulated meetings per eps level")
     ip.add_argument("--mos-sample-rate", type=float, default=0.3,
                     help="fraction of sessions prompted for a rating")
     ip.add_argument("--corpus-weeks", type=int, default=4,
                     help="span of the synthetic social corpus")
-    ip.add_argument("--json", action="store_true",
-                    help="emit the stable counters dict as JSON")
     pp = usaas_sub.add_parser(
         "predict",
+        parents=[_soak_parent(
+            json_help="emit the evaluation (and soak counters) as JSON"
+        )],
         help="fit the columnar MOS predictor and grade it against "
              "simulator ground truth",
         description="Simulate a call dataset (vectorized engine), fit "
@@ -1158,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
                "violated (accounting open, or an answer overran its "
                "deadline by more than one batch cost)",
     )
-    pp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pp.set_defaults(fn=_cmd_usaas_predict)
     pp.add_argument("--n-calls", type=int, default=400,
                     help="simulated meetings to train/evaluate on")
     pp.add_argument("--mos-sample-rate", type=float, default=0.3,
@@ -1179,9 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="coalescer flush size")
     pp.add_argument("--max-delay-s", type=float, default=0.01,
                     help="coalescer age bound (simulated seconds)")
-    pp.add_argument("--json", action="store_true",
-                    help="emit the evaluation (and soak counters) as "
-                         "JSON")
     p.set_defaults(fn=_cmd_usaas)
     return parser
 

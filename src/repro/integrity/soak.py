@@ -39,6 +39,7 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.resilience.soak import Problem, verdict
 from repro.rng import DEFAULT_SEED, derive
 
 __all__ = ["EpsOutcome", "IntegritySoakReport", "run_integrity_soak"]
@@ -98,17 +99,17 @@ class IntegritySoakReport:
     violations: Tuple[str, ...]
     ineffective: Tuple[str, ...]
 
-    @property
-    def exit_code(self) -> int:
-        if self.violations:
-            return 2
-        if self.ineffective:
-            return 3
-        return 0
+    def problems(self) -> Tuple[Problem, ...]:
+        """Every violation (code 2), then every sign the sweep proved
+        nothing (code 3)."""
+        return tuple(
+            [(2, f"integrity violation: {v}") for v in self.violations]
+            + [(3, f"sweep ineffective: {m}") for m in self.ineffective]
+        )
 
     @property
-    def ok(self) -> bool:
-        return self.exit_code == 0
+    def exit_code(self) -> int:
+        return verdict(self.problems())
 
     def counters_dict(self) -> Dict[str, object]:
         """Flat, rounded, deterministic-per-seed counter map."""

@@ -9,7 +9,7 @@ from repro.io.jsonl import (
     write_jsonl,
 )
 from repro.io.locks import file_lock
-from repro.io.tables import format_series, format_table
+from repro.io.tables import format_series, format_table, ljust_table
 
 __all__ = [
     "SalvageResult",
@@ -18,6 +18,7 @@ __all__ = [
     "format_series",
     "format_table",
     "iter_jsonl",
+    "ljust_table",
     "read_jsonl",
     "salvage_jsonl",
     "write_jsonl",

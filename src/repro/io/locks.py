@@ -11,7 +11,11 @@ temporary path.
 
 :func:`file_lock` prefers ``fcntl.flock`` (kernel-managed; evaporates if
 the holder dies) and degrades to an ``O_CREAT | O_EXCL`` lockfile on
-platforms without ``fcntl``.  The fallback breaks stale locks by age, so
+platforms without ``fcntl``.  A ``flock`` holder may delete the lock
+file before releasing it (:func:`remove_lock_file`, so evicted entries
+leave nothing behind): a waiter that then wins the lock on the deleted
+inode notices that the path no longer names it and retries on a fresh
+file.  The fallback breaks stale locks by age, so
 a crashed holder cannot wedge every future writer.  Waiting is polled on
 an injectable :class:`~repro.resilience.clock.Clock`; running out of
 budget raises :class:`~repro.errors.LockTimeoutError`.
@@ -64,26 +68,30 @@ def file_lock(
     clock = clock or MonotonicClock()
     deadline = clock.now() + timeout_s
     if fcntl is not None:
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    break
-                except OSError:
-                    if clock.now() >= deadline:
-                        raise LockTimeoutError(
-                            f"could not lock {lock_path} within "
-                            f"{timeout_s:.1f}s"
-                        ) from None
-                    clock.sleep(poll_s)
+        while True:
+            fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
             try:
-                yield
+                while True:
+                    try:
+                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        break
+                    except OSError:
+                        if clock.now() >= deadline:
+                            raise LockTimeoutError(
+                                f"could not lock {lock_path} within "
+                                f"{timeout_s:.1f}s"
+                            ) from None
+                        clock.sleep(poll_s)
+                if _names_inode(lock_path, fd):
+                    try:
+                        yield
+                    finally:
+                        fcntl.flock(fd, fcntl.LOCK_UN)
+                    return
             finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
-        return
+                os.close(fd)
+            # The holder we waited on deleted the lock file: the inode
+            # we locked guards nothing, so lock the path afresh.
     # Fallback: exclusive-create lockfile.  Unlike flock, a crashed
     # holder leaves the file behind, so age out stale ones.
     while True:
@@ -106,6 +114,25 @@ def file_lock(
             os.unlink(lock_path)
         except OSError:
             pass  # already removed (broken as stale by a waiting peer)
+
+
+def remove_lock_file(path: PathLike) -> None:
+    """Delete ``path``'s lock file; call only while holding its lock.
+
+    Safe under ``flock``, whose waiters re-check the inode they win.
+    The fallback lockfile is deleted on release anyway, and deleting it
+    early would let a second holder in, so it is left alone here.
+    """
+    if fcntl is not None:
+        Path(str(path) + ".lock").unlink(missing_ok=True)
+
+
+def _names_inode(lock_path: Path, fd: int) -> bool:
+    """Whether ``lock_path`` still names the file open as ``fd``."""
+    try:
+        return os.path.samestat(os.stat(lock_path), os.fstat(fd))
+    except FileNotFoundError:
+        return False
 
 
 def _break_stale(lock_path: Path) -> bool:

@@ -45,6 +45,22 @@ def format_table(
     return "\n".join(lines)
 
 
+def ljust_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Left-aligned table of pre-rendered cells under a header rule.
+
+    Each column is as wide as its widest cell, columns are two spaces
+    apart and trailing padding is stripped from every line.
+    """
+    table = [tuple(headers)] + [tuple(row) for row in rows]
+    widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
 def format_series(
     pairs: Iterable[Tuple[Cell, Cell]],
     x_label: str = "x",

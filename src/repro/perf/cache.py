@@ -232,14 +232,14 @@ class ArtifactCache:
         """Drop one entry (and its sidecar), e.g. after its content was
         found inconsistent with another entry; a miss rebuilds it."""
         self.evictions += 1
-        self._evict(self.path_for(kind, config))
+        self._drop(self.path_for(kind, config))
 
     def invalidate(self, kind: Optional[str] = None) -> int:
         """Drop cached entries (all, or just one kind); returns the count."""
         dropped = 0
         for path, entry_kind in self._entries():
             if kind is None or entry_kind == kind:
-                self._evict(path)
+                self._drop(path)
                 dropped += 1
         return dropped
 
@@ -288,6 +288,14 @@ class ArtifactCache:
                 os.unlink(target)
             except OSError:
                 self.evict_races += 1
+
+    def _drop(self, path: Path) -> None:
+        """Evict an entry under its build lock, and delete the lock too."""
+        from repro.io.locks import file_lock, remove_lock_file
+
+        with file_lock(path, timeout_s=self.lock_timeout_s):
+            self._evict(path)
+            remove_lock_file(path)
 
     def _write_sidecar(self, path: Path, kind: str, config: Any) -> None:
         from repro.io.jsonl import atomic_writer

@@ -7,11 +7,11 @@ every submitted prediction must land in exactly one terminal state, and
 any query that carried a deadline and was *answered* must have overrun
 it by at most one batch cost (the degradation ladder's invariant).
 
-The driver advances the clock in steps no larger than half the
-coalescer's ``max_delay_s`` while idle, so age-due flushes happen
-promptly instead of being discovered an arbitrary interval later —
-mirroring a real server's timer wheel without giving the coalescer a
-clock of its own.
+Arrivals replay through the shared soak kernel
+(:func:`repro.resilience.soak.replay`); while idle, the server's
+:meth:`~repro.serving.server.UsaasServer.run_until` advances the clock
+in steps no larger than half the coalescer's ``max_delay_s``, so
+age-due flushes happen promptly.
 """
 
 from __future__ import annotations
@@ -20,61 +20,54 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.usaas.query import UsaasQuery
-from repro.errors import ConfigError, QueryRejectedError
+from repro.errors import ConfigError
 from repro.perf.columnar import ParticipantColumns
 from repro.prediction.coalescer import CoalescerConfig
 from repro.prediction.model import ColumnarMosPredictor
 from repro.prediction.service import PredictionCostModel, PredictionEngine
 from repro.resilience.clock import ManualClock
 from repro.resilience.faults import Arrival, FaultPlan
+from repro.resilience.soak import LedgerView, OutcomeLedger, Problem, replay
 from repro.serving.server import DrainReport, UsaasServer
 
 
 @dataclass(frozen=True)
-class PredictionSoakReport:
+class PredictionSoakReport(LedgerView):
     """Closed-books summary of one prediction soak."""
 
     arrivals: int
-    submitted: int
-    served: int
-    served_degraded: int
-    shed: int
-    deadline_exceeded: int
-    failed: int
+    ledger: OutcomeLedger
     batches: int
     fallback_batches: int
     mean_coalesced: float
     p50_latency_s: Optional[float]
     p99_latency_s: Optional[float]
     max_overrun_s: float
+    #: Cost of one full coalesced batch: the most an answered query
+    #: may overrun its deadline by.
+    batch_cost_s: float
     drain: DrainReport
     final_clock_s: float
 
-    @property
-    def accounted(self) -> bool:
-        """Exactly-once: every submission reached one terminal state."""
-        return self.submitted == (
-            self.served + self.served_degraded + self.shed
-            + self.deadline_exceeded + self.failed
-        )
-
-    @property
-    def answered(self) -> int:
-        return self.served + self.served_degraded
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
+    def problems(self) -> Tuple[Problem, ...]:
+        """Broken serving invariants, in exit-code order (all code 3)."""
+        out = []
+        if not self.accounted:
+            out.append((3, "accounting violation: submitted != sum(terminal "
+                           "states) for predict_mos"))
+        if self.deadline_exceeded:
+            out.append((3, f"deadline violation: {self.deadline_exceeded} "
+                           f"prediction(s) answered past their budget"))
+        if self.max_overrun_s > self.batch_cost_s:
+            out.append((3, f"deadline violation: answered "
+                           f"{self.max_overrun_s:.4f}s over budget (> one "
+                           f"batch cost {self.batch_cost_s:.4f}s)"))
+        return tuple(out)
 
     def counters_dict(self) -> Dict[str, object]:
         return {
             "arrivals": self.arrivals,
-            "submitted": self.submitted,
-            "served": self.served,
-            "served_degraded": self.served_degraded,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "failed": self.failed,
+            **self.ledger.as_dict(),
             "batches": self.batches,
             "fallback_batches": self.fallback_batches,
             "mean_coalesced": round(self.mean_coalesced, 6),
@@ -150,40 +143,21 @@ def run_prediction_soak(
     = every row of the engine's block); it must be a pure function of
     its arguments so the soak stays deterministic.
     """
-    if server.prediction is None:
-        raise ConfigError("prediction soak requires a prediction engine")
-    clock = server.clock
-    advance = getattr(clock, "advance", clock.sleep)
-    tick = None
-    if server.coalescer is not None:
-        delay = server.coalescer.config.max_delay_s
-        tick = delay / 2 if delay > 0 else None
-    ordered = sorted(arrivals, key=lambda a: a.at_s)
     engine = server.prediction
+    if engine is None:
+        raise ConfigError("prediction soak requires a prediction engine")
     budgets: Dict[int, float] = {}
-    submitted = 0
-    for index, arrival in enumerate(ordered):
-        while clock.now() < arrival.at_s:
-            if server.has_pending():
-                server.run_next()
-            else:
-                step = arrival.at_s - clock.now()
-                if tick is not None:
-                    step = min(step, tick)
-                advance(step)
+
+    def submit(arrival, index):
         rows = rows_for(arrival, index) if rows_for is not None else None
         query = UsaasQuery(network=network, kind="predict_mos", rows=rows)
-        submitted += 1
-        try:
-            ticket = server.submit(
-                query,
-                priority=arrival.priority,
-                deadline_s=arrival.deadline_s,
-            )
-        except QueryRejectedError:
-            continue  # accounted as shed by the server
+        ticket = server.submit(
+            query, priority=arrival.priority, deadline_s=arrival.deadline_s,
+        )
         if arrival.deadline_s is not None:
             budgets[ticket.id] = float(arrival.deadline_s)
+
+    n_arrivals = replay(server, arrivals, submit)
     drain = server.drain()
 
     counters = server.kind_counters("predict_mos")
@@ -194,21 +168,27 @@ def run_prediction_soak(
             continue
         if outcome.status in ("served", "served_degraded"):
             max_overrun = max(max_overrun, outcome.latency_s - budget)
+    # The independent arrival count, not the server's, is what the
+    # terminal states must add up to.
+    ledger = OutcomeLedger.total([counters])
+    ledger.submitted = n_arrivals
+    max_batch = (
+        server.coalescer.config.max_batch if server.coalescer is not None
+        else 1
+    )
     engine_metrics = engine.metrics()
     return PredictionSoakReport(
-        arrivals=len(ordered),
-        submitted=submitted,
-        served=counters.served,
-        served_degraded=counters.served_degraded,
-        shed=counters.shed,
-        deadline_exceeded=counters.deadline_exceeded,
-        failed=counters.failed,
+        arrivals=n_arrivals,
+        ledger=ledger,
         batches=int(engine_metrics["batches"]),
         fallback_batches=int(engine_metrics["fallback_batches"]),
         mean_coalesced=float(engine_metrics["mean_coalesced"]),
         p50_latency_s=counters.as_dict()["p50_latency_s"],
         p99_latency_s=counters.as_dict()["p99_latency_s"],
         max_overrun_s=max(0.0, max_overrun),
+        batch_cost_s=engine.cost_model.batch_cost_s(
+            max_batch * engine.n_rows
+        ),
         drain=drain,
-        final_clock_s=clock.now(),
+        final_clock_s=server.clock.now(),
     )

@@ -19,7 +19,9 @@ the whole service down:
   that runs a registry source through breaker + retry + stale-cache
   fallback and writes the health ledger;
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`, a deterministic
-  chaos harness the test suite uses to prove all of the above.
+  chaos harness the test suite uses to prove all of the above;
+* :mod:`repro.resilience.soak` — the soak kernel (outcome ledger,
+  replay loop, exit-code verdict) every deterministic soak runs on.
 """
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker

@@ -38,8 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import latency_percentile
 from repro.errors import ConfigError, QueryRejectedError
+from repro.io.tables import ljust_table
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.clock import Clock, ManualClock
+from repro.resilience.soak import OutcomeLedger
 from repro.serving.admission import Ticket
 from repro.serving.hashring import HashRing
 from repro.serving.server import QueryOutcome, ServingMetrics, UsaasServer
@@ -182,24 +184,15 @@ class ClusterMetrics:
                 return metrics
         raise ConfigError(f"unknown replica {name!r}")
 
-    def totals(self) -> Dict[str, int]:
+    def ledger(self) -> OutcomeLedger:
         """Cluster terminal counters: sum of replicas + router shed."""
-        out = {
-            "submitted": self.submitted,
-            "served": 0,
-            "served_degraded": 0,
-            "shed": self.router_shed_total,
-            "deadline_exceeded": 0,
-            "failed": 0,
-        }
-        for _, metrics in self.replicas:
-            for _, counters in metrics.per_class:
-                out["served"] += counters.served
-                out["served_degraded"] += counters.served_degraded
-                out["shed"] += counters.shed
-                out["deadline_exceeded"] += counters.deadline_exceeded
-                out["failed"] += counters.failed
+        out = OutcomeLedger.total(m.ledger() for _, m in self.replicas)
+        out.submitted = self.submitted
+        out.shed += self.router_shed_total
         return out
+
+    def totals(self) -> Dict[str, int]:
+        return self.ledger().as_dict()
 
     def check_exact_once(self) -> None:
         """Raise unless the cluster-wide ledger closes exactly.
@@ -217,14 +210,11 @@ class ClusterMetrics:
                 f"!= {self.router_shed_total} router-shed + "
                 f"{replica_submitted} replica-submitted"
             )
-        totals = self.totals()
-        terminal = (totals["served"] + totals["served_degraded"]
-                    + totals["shed"] + totals["deadline_exceeded"]
-                    + totals["failed"])
-        if self.submitted != terminal:
+        ledger = self.ledger()
+        if not ledger.accounted:
             raise ConfigError(
                 f"cluster accounting violated: {self.submitted} submitted "
-                f"!= {terminal} terminal outcomes"
+                f"!= {ledger.terminal} terminal outcomes"
             )
 
     def latencies(self) -> List[float]:
@@ -238,14 +228,6 @@ class ClusterMetrics:
 
     def p99_admitted_s(self) -> Optional[float]:
         return latency_percentile(self.latencies(), 99)
-
-    @property
-    def shed_rate(self) -> float:
-        totals = self.totals()
-        return (
-            totals["shed"] / totals["submitted"] if totals["submitted"]
-            else 0.0
-        )
 
     def as_dict(self) -> Dict[str, object]:
         """Stable JSON-ready ledger for byte-identity assertions."""
@@ -263,32 +245,18 @@ class ClusterMetrics:
 
     def table(self) -> str:
         """Fixed-width per-replica totals table (CLI / log friendly)."""
-        headers = ("replica", "submitted", "served", "degraded", "shed",
-                   "deadline", "failed", "p99")
-        rows: List[Tuple[str, ...]] = [headers]
+        rows = []
         for name, metrics in self.replicas:
-            served = degraded = shed = deadline = failed = 0
-            for _, c in metrics.per_class:
-                served += c.served
-                degraded += c.served_degraded
-                shed += c.shed
-                deadline += c.deadline_exceeded
-                failed += c.failed
             p99 = metrics.p99_latency_s()
             rows.append((
-                name, str(metrics.submitted), str(served), str(degraded),
-                str(shed), str(deadline), str(failed),
+                name, *metrics.ledger().cells(),
                 "-" if p99 is None else f"{p99:.3f}s",
             ))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(
-                cell.ljust(widths[col]) for col, cell in enumerate(row)
-            ).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return ljust_table(
+            ("replica", "submitted", "served", "degraded", "shed",
+             "deadline", "failed", "p99"),
+            rows,
+        )
 
 
 class UsaasCluster:

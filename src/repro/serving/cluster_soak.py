@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.usaas.service import UsaasQuery
-from repro.errors import ConfigError, QueryRejectedError
+from repro.errors import ConfigError
 from repro.resilience.clock import ManualClock
-from repro.resilience.faults import FaultPlan, ReplicaFaultEvent
+from repro.resilience.faults import (
+    FaultPlan,
+    ReplicaFaultEvent,
+    ReplicaFaultSpec,
+)
+from repro.resilience.soak import LedgerView, OutcomeLedger, Problem, replay
 from repro.serving.cluster import (
     ClusterMetrics,
     ReplicaHandle,
@@ -31,17 +36,12 @@ from repro.serving.server import UsaasServer
 
 
 @dataclass(frozen=True)
-class ClusterSoakReport:
+class ClusterSoakReport(LedgerView):
     """Everything one cluster soak produced, in a byte-stable shape."""
 
     arrivals: int
     fault_events: int
-    submitted: int
-    served: int
-    served_degraded: int
-    shed: int
-    deadline_exceeded: int
-    failed: int
+    ledger: OutcomeLedger
     router_shed: Tuple[Tuple[str, int], ...]
     drain: Dict[str, int]
     metrics: ClusterMetrics
@@ -57,21 +57,25 @@ class ClusterSoakReport:
             return False
         return True
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
+    def problems(self) -> Tuple[Problem, ...]:
+        """What went wrong, in exit-code order (empty when clean)."""
+        out = []
+        if not self.accounted:
+            out.append((2, "accounting violation: cluster ledger did not "
+                           "close"))
+        if self.drain["leftover"]:
+            out.append((2, f"drain left {self.drain['leftover']} queries "
+                           f"behind"))
+        if self.submitted and not self.answered:
+            out.append((3, "total outage: nothing was served"))
+        return tuple(out)
 
     def counters_dict(self) -> Dict[str, object]:
         """Stable dict for byte-identity assertions across runs."""
         return {
             "arrivals": self.arrivals,
             "fault_events": self.fault_events,
-            "submitted": self.submitted,
-            "served": self.served,
-            "served_degraded": self.served_degraded,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "failed": self.failed,
+            **self.ledger.as_dict(),
             "router_shed": dict(self.router_shed),
             "drain": dict(self.drain),
             "cluster": self.metrics.as_dict(),
@@ -108,7 +112,10 @@ def run_cluster_soak(
     ``key``); fault events come from :meth:`FaultPlan.replica_faults`.
     Both timelines are merged in time order, with a fault event applied
     *before* any arrival at the same instant — an outage starting at
-    ``t`` affects the query arriving at ``t``.
+    ``t`` affects the query arriving at ``t``.  Between events the
+    replicas execute queued work, their clocks advancing independently
+    — this is where the cluster's N-way parallelism (and its loss
+    during an outage) shows up.
 
     ``query_for`` maps an arrival to the query it submits; when None,
     the arrival's own ``query`` attribute is used if present, else a
@@ -116,67 +123,38 @@ def run_cluster_soak(
     :class:`~repro.resilience.faults.ClusterArrival` schedule replays
     out of the box.
 
-    Shedding — at the router or at a replica — is normal operation: the
-    typed rejection is caught, already accounted, and the replay moves
-    on.  After the last event the cluster drains, which also closes the
+    Shedding — at the router or at a replica — is normal operation.
+    After the last event the cluster drains, which also closes the
     ledger on replicas still dead at drain time.
     """
-    clock = cluster.clock
-    advance = getattr(clock, "advance", clock.sleep)
     default_query = UsaasQuery(network="starlink", service="teams")
-    # (at_s, kind, tie) where faults (kind 0) sort before arrivals
-    # (kind 1) at equal times and ``tie`` keeps each source stable.
-    timeline: List[Tuple[float, int, int, object]] = []
-    for i, event in enumerate(sorted(
-        fault_events, key=lambda e: (e.at_s, e.replica, e.action)
-    )):
-        timeline.append((event.at_s, 0, i, event))
-    for i, arrival in enumerate(sorted(arrivals, key=lambda a: a.at_s)):
-        timeline.append((arrival.at_s, 1, i, arrival))
-    timeline.sort(key=lambda item: item[:3])
-    n_arrivals = 0
-    for at_s, kind, _, item in timeline:
-        # Execute queued work scheduled before this instant, replica
-        # clocks advancing independently — this is where the cluster's
-        # N-way parallelism (and its loss during an outage) shows up.
-        cluster.run_until(at_s)
-        if clock.now() < at_s:
-            advance(at_s - clock.now())
-        if kind == 0:
-            cluster.apply_fault(item)
-            continue
-        n_arrivals += 1
+
+    def submit(arrival, index):
         query = (
-            query_for(item) if query_for is not None
-            else getattr(item, "query", default_query)
+            query_for(arrival) if query_for is not None
+            else getattr(arrival, "query", default_query)
         )
-        try:
-            cluster.submit(
-                query,
-                key=item.key,
-                tenant=item.tenant,
-                priority=item.priority,
-                deadline_s=getattr(item, "deadline_s", None),
-            )
-        except QueryRejectedError:
-            # Accounted (router or replica); the replay keeps going.
-            continue
+        cluster.submit(
+            query,
+            key=arrival.key,
+            tenant=arrival.tenant,
+            priority=arrival.priority,
+            deadline_s=getattr(arrival, "deadline_s", None),
+        )
+
+    n_arrivals = replay(cluster, arrivals, submit, faults=sorted(
+        fault_events, key=lambda e: (e.at_s, e.replica, e.action)
+    ))
     drain = cluster.drain()
     metrics = cluster.metrics()
-    totals = metrics.totals()
     return ClusterSoakReport(
         arrivals=n_arrivals,
         fault_events=len(fault_events),
-        submitted=totals["submitted"],
-        served=totals["served"],
-        served_degraded=totals["served_degraded"],
-        shed=totals["shed"],
-        deadline_exceeded=totals["deadline_exceeded"],
-        failed=totals["failed"],
+        ledger=metrics.ledger(),
         router_shed=metrics.router_shed,
         drain=drain,
         metrics=metrics,
-        final_router_clock_s=clock.now(),
+        final_router_clock_s=cluster.clock.now(),
         final_replica_clocks_s=tuple(
             (name, cluster.replica(name).clock.now())
             for name in cluster.replica_names
@@ -239,3 +217,61 @@ def synthetic_cluster(
         breaker_recovery_s=breaker_recovery_s,
     )
     return cluster, FaultPlan(seed=seed, clock=router_clock)
+
+
+def overload_cluster_soak(
+    seed: int,
+    stream: str = "cluster-soak",
+    n_replicas: int = 3,
+    overload: float = 5.0,
+    duration_s: float = 4.0,
+    deadline_s: float = 1.0,
+    max_pending: int = 8,
+    shed_policy: str = "priority",
+    slow_s: float = 0.05,
+    include_flaky: bool = False,
+    tenants: Sequence[TenantPolicy] = (),
+    tenant_mix: Optional[Sequence[Tuple[str, float]]] = None,
+    fault_specs: Optional[Sequence[ReplicaFaultSpec]] = None,
+) -> ClusterSoakReport:
+    """The canonical cluster soak (``repro usaas cluster-soak``).
+
+    A seeded spike at ``overload`` times the *cluster's* capacity and
+    a replica fault timeline, both drawn from the router plan's
+    ``stream``, replayed against :func:`synthetic_cluster`.
+    ``tenant_mix`` defaults to the tenants' weights (one ``default``
+    tenant when there are none).  ``fault_specs`` defaults to the
+    canonical failover story: the second replica crashes mid-spike and
+    recovers for the spike's tail; ``()`` runs clean.
+    """
+    from repro.serving.soak import spike_spec
+
+    cluster, plan = synthetic_cluster(
+        seed=seed,
+        n_replicas=n_replicas,
+        slow_s=slow_s,
+        max_pending=max_pending,
+        shed_policy=shed_policy,
+        tenants=tenants,
+        include_flaky=include_flaky,
+    )
+    if tenant_mix is None:
+        tenant_mix = (
+            tuple((t.name, t.weight) for t in tenants)
+            if tenants else (("default", 1.0),)
+        )
+    arrivals = plan.cluster_load_spikes(
+        stream,
+        spike_spec(overload, duration_s, deadline_s, slow_s, n_replicas),
+        tenant_mix=tenant_mix,
+    )
+    if fault_specs is None:
+        fault_specs = [ReplicaFaultSpec(
+            replica="r1" if n_replicas > 1 else "r0", kind="crash",
+            at_s=duration_s * 0.375, down_s=duration_s * 0.25,
+        )]
+    events = plan.replica_faults(stream, *fault_specs) if fault_specs else ()
+    query = UsaasQuery(network="starlink", service="teams")
+    return run_cluster_soak(
+        cluster, arrivals, events, query_for=lambda arrival: query
+    )

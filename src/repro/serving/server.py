@@ -53,19 +53,15 @@ from repro.errors import (
     DegradedServiceError,
     QueryRejectedError,
 )
+from repro.io.tables import ljust_table
 from repro.resilience.clock import Clock
+from repro.resilience.soak import OUTCOME_STATUSES, OutcomeLedger
 from repro.serving.admission import (
     PRIORITY_CLASSES,
     AdmissionController,
     Ticket,
 )
 from repro.serving.deadline import Deadline
-
-#: Terminal states a submitted query can end in.
-OUTCOME_STATUSES: Tuple[str, ...] = (
-    "served", "served_degraded", "shed", "deadline_exceeded", "failed",
-)
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -84,31 +80,15 @@ class QueryOutcome:
 
 
 @dataclass
-class ClassCounters:
+class ClassCounters(OutcomeLedger):
     """Per-priority-class serving counters (all monotonic)."""
 
-    submitted: int = 0
-    served: int = 0
-    served_degraded: int = 0
-    shed: int = 0
-    deadline_exceeded: int = 0
-    failed: int = 0
     latencies_s: List[float] = field(default_factory=list)
-
-    @property
-    def completed(self) -> int:
-        return (self.served + self.served_degraded
-                + self.deadline_exceeded + self.failed)
 
     def as_dict(self) -> Dict[str, object]:
         """Stable JSON-ready form (latency list reduced to percentiles)."""
         return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "served_degraded": self.served_degraded,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "failed": self.failed,
+            **super().as_dict(),
             "p50_latency_s": latency_percentile(self.latencies_s, 50),
             "p99_latency_s": latency_percentile(self.latencies_s, 99),
         }
@@ -126,21 +106,13 @@ class ServingMetrics:
                 return counters
         raise ConfigError(f"unknown priority {priority!r}")
 
+    def ledger(self) -> OutcomeLedger:
+        """All classes' counters summed."""
+        return OutcomeLedger.total(c for _, c in self.per_class)
+
     @property
     def submitted(self) -> int:
-        return sum(c.submitted for _, c in self.per_class)
-
-    @property
-    def shed(self) -> int:
-        return sum(c.shed for _, c in self.per_class)
-
-    @property
-    def served(self) -> int:
-        return sum(c.served + c.served_degraded for _, c in self.per_class)
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
+        return self.ledger().submitted
 
     def latencies(self) -> List[float]:
         out: List[float] = []
@@ -159,28 +131,20 @@ class ServingMetrics:
 
     def table(self) -> str:
         """Fixed-width per-class counters table (CLI / log friendly)."""
-        headers = ("class", "submitted", "served", "degraded", "shed",
-                   "deadline", "failed", "p50", "p99")
-        rows: List[Tuple[str, ...]] = [headers]
+        rows = []
         for name, c in self.per_class:
             p50, p99 = (latency_percentile(c.latencies_s, 50),
                         latency_percentile(c.latencies_s, 99))
             rows.append((
-                name, str(c.submitted), str(c.served),
-                str(c.served_degraded), str(c.shed),
-                str(c.deadline_exceeded), str(c.failed),
+                name, *c.cells(),
                 "-" if p50 is None else f"{p50:.3f}s",
                 "-" if p99 is None else f"{p99:.3f}s",
             ))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(
-                cell.ljust(widths[col]) for col, cell in enumerate(row)
-            ).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return ljust_table(
+            ("class", "submitted", "served", "degraded", "shed",
+             "deadline", "failed", "p50", "p99"),
+            rows,
+        )
 
 
 @dataclass(frozen=True)
@@ -307,16 +271,7 @@ class UsaasServer:
         for counters in (
             self._counters[outcome.priority], self.kind_counters(kind),
         ):
-            if outcome.status == "served":
-                counters.served += 1
-            elif outcome.status == "served_degraded":
-                counters.served_degraded += 1
-            elif outcome.status == "shed":
-                counters.shed += 1
-            elif outcome.status == "deadline_exceeded":
-                counters.deadline_exceeded += 1
-            else:
-                counters.failed += 1
+            counters.record(outcome.status)
             if outcome.latency_s is not None:
                 counters.latencies_s.append(float(outcome.latency_s))
         return outcome
@@ -514,6 +469,26 @@ class UsaasServer:
         finally:
             self.admission.release(ticket)
         return result
+
+    def run_until(self, t: float) -> None:
+        """Run queued work while the clock is before ``t``.
+
+        With a coalescer, idle time passes in steps of half its
+        ``max_delay_s`` up to ``t``, so age-due batches flush on time
+        (a timer wheel, without giving the coalescer a clock of its
+        own); without one, the server returns as soon as it is idle.
+        """
+        advance = getattr(self._clock, "advance", self._clock.sleep)
+        delay = 0.0
+        if self.coalescer is not None:
+            delay = self.coalescer.config.max_delay_s
+        while self._clock.now() < t:
+            if self.has_pending():
+                self.run_next()
+            elif delay > 0:
+                advance(min(t - self._clock.now(), delay / 2))
+            else:
+                return
 
     def run_pending(self, limit: Optional[int] = None) -> List[QueryOutcome]:
         """Run queued queries until the queue is empty (or ``limit``)."""

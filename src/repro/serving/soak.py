@@ -15,49 +15,37 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.errors import QueryRejectedError
+from repro.resilience.soak import LedgerView, OutcomeLedger, Problem, replay
 from repro.serving.server import DrainReport, ServingMetrics, UsaasServer
 
 
 @dataclass(frozen=True)
-class SoakReport:
+class SoakReport(LedgerView):
     """Everything one soak run produced, in a byte-stable shape."""
 
     arrivals: int
-    submitted: int
-    served: int
-    served_degraded: int
-    shed: int
-    deadline_exceeded: int
-    failed: int
+    ledger: OutcomeLedger
     drain: DrainReport
     metrics: ServingMetrics
     final_clock_s: float
 
-    @property
-    def accounted(self) -> bool:
-        """Every submitted query landed in exactly one terminal state."""
-        return self.submitted == (
-            self.served + self.served_degraded + self.shed
-            + self.deadline_exceeded + self.failed
-        )
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
+    def problems(self) -> Tuple[Problem, ...]:
+        """What went wrong, in exit-code order (empty when clean)."""
+        out = []
+        if not self.accounted:
+            out.append((2, "accounting violation: submitted != sum(terminal "
+                           "states)"))
+        if not self.drain.clean:
+            out.append((2, "drain left work behind: " + self.drain.summary()))
+        return tuple(out)
 
     def counters_dict(self) -> Dict[str, object]:
         """Stable dict for byte-identity assertions across runs."""
         return {
             "arrivals": self.arrivals,
-            "submitted": self.submitted,
-            "served": self.served,
-            "served_degraded": self.served_degraded,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "failed": self.failed,
+            **self.ledger.as_dict(),
             "leftover_pending": self.drain.leftover_pending,
             "in_flight": self.drain.in_flight,
             "per_class": self.metrics.as_dict(),
@@ -83,63 +71,30 @@ def run_soak(
 
     ``arrivals`` are objects with ``at_s`` / ``priority`` /
     ``deadline_s`` (see :class:`repro.resilience.faults.Arrival`);
-    ``query_for`` maps an arrival to the query it submits (default: the
-    server must have been built with a callable default via
-    ``query_for``; passing None uses ``arrival.query`` when present).
-
-    Shedding is part of normal operation here: a rejected submission is
-    caught, already accounted by the server, and the loop moves on.
+    ``query_for`` maps an arrival to the query it submits (None uses
+    ``arrival.query``).  Between arrivals the server works off its
+    queue (:meth:`UsaasServer.run_until`); executing a query advances
+    the clock, so this is where overload builds up: at 5x capacity the
+    queue outgrows the bound and the admission controller sheds.
     """
-    clock = server.clock
-    advance = getattr(clock, "advance", clock.sleep)
-    ordered = sorted(arrivals, key=lambda a: a.at_s)
-    for arrival in ordered:
-        # Work off the queue while the next arrival is still in the
-        # future; executing a query advances the clock, so this is where
-        # overload builds up: at 5x capacity the queue outgrows the
-        # bound and the admission controller starts shedding.
-        while server.has_pending() and clock.now() < arrival.at_s:
-            server.run_next()
-        if clock.now() < arrival.at_s:
-            advance(arrival.at_s - clock.now())
-        query = (
-            query_for(arrival) if query_for is not None
-            else getattr(arrival, "query")
+
+    def submit(arrival, index):
+        query = query_for(arrival) if query_for is not None else arrival.query
+        server.submit(
+            query,
+            priority=arrival.priority,
+            deadline_s=getattr(arrival, "deadline_s", None),
         )
-        try:
-            server.submit(
-                query,
-                priority=arrival.priority,
-                deadline_s=getattr(arrival, "deadline_s", None),
-            )
-        except QueryRejectedError:
-            # Accounted as shed by the server; soak keeps going.
-            continue
+
+    n_arrivals = replay(server, arrivals, submit)
     drain = server.drain()
     metrics = server.metrics()
-    totals = {
-        status: 0 for status in (
-            "served", "served_degraded", "shed", "deadline_exceeded",
-            "failed",
-        )
-    }
-    for _, counters in metrics.per_class:
-        totals["served"] += counters.served
-        totals["served_degraded"] += counters.served_degraded
-        totals["shed"] += counters.shed
-        totals["deadline_exceeded"] += counters.deadline_exceeded
-        totals["failed"] += counters.failed
     return SoakReport(
-        arrivals=len(ordered),
-        submitted=metrics.submitted,
-        served=totals["served"],
-        served_degraded=totals["served_degraded"],
-        shed=totals["shed"],
-        deadline_exceeded=totals["deadline_exceeded"],
-        failed=totals["failed"],
+        arrivals=n_arrivals,
+        ledger=metrics.ledger(),
         drain=drain,
         metrics=metrics,
-        final_clock_s=clock.now(),
+        final_clock_s=server.clock.now(),
     )
 
 
@@ -232,3 +187,55 @@ def synthetic_soak_service(
 def estimated_service_time_s(slow_s: float, n_sources: int = 2) -> float:
     """Simulated clock cost of one fully-healthy query."""
     return float(slow_s) * int(n_sources)
+
+
+#: Priority classes of the canonical load spike, by arrival share.
+SPIKE_PRIORITY_MIX = (
+    ("interactive", 0.6), ("batch", 0.3), ("monitoring", 0.1),
+)
+
+
+def spike_spec(overload: float, duration_s: float, deadline_s: float,
+               slow_s: float, n_servers: int = 1):
+    """A load spike at ``overload`` times the capacity of ``n_servers``
+    synthetic services (one serves ``1 / estimated_service_time_s``
+    queries per simulated second)."""
+    from repro.resilience.faults import LoadSpikeSpec
+
+    return LoadSpikeSpec(
+        rate_per_s=overload * n_servers / estimated_service_time_s(slow_s),
+        duration_s=duration_s,
+        priority_mix=SPIKE_PRIORITY_MIX,
+        deadline_s=deadline_s,
+    )
+
+
+def overload_soak(
+    seed: int,
+    stream: str = "soak",
+    overload: float = 5.0,
+    duration_s: float = 4.0,
+    deadline_s: float = 1.0,
+    max_pending: int = 8,
+    shed_policy: str = "priority",
+    slow_s: float = 0.05,
+    include_flaky: bool = False,
+) -> SoakReport:
+    """The canonical serving soak (``repro usaas soak``): one seeded
+    :func:`spike_spec` spike, drawn from the plan's ``stream``, against
+    a :func:`synthetic_soak_service` behind a bounded queue."""
+    from repro.core.usaas import UsaasQuery
+    from repro.resilience import FaultPlan, ManualClock
+
+    plan = FaultPlan(seed=seed, clock=ManualClock())
+    service = synthetic_soak_service(
+        plan, slow_s=slow_s, include_flaky=include_flaky
+    )
+    arrivals = plan.load_spikes(
+        stream, spike_spec(overload, duration_s, deadline_s, slow_s)
+    )
+    server = UsaasServer(
+        service, max_pending=max_pending, shed_policy=shed_policy
+    )
+    query = UsaasQuery(network="starlink", service="teams")
+    return run_soak(server, arrivals, query_for=lambda arrival: query)

@@ -20,16 +20,18 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import rng as rng_mod
 from repro.errors import ConfigError
 from repro.resilience.clock import ManualClock
 from repro.resilience.faults import FaultPlan, StreamFaultSpec
+from repro.resilience.soak import Problem
 from repro.streaming.detector import ChangePoint
 from repro.streaming.journal import StreamJournal
 from repro.streaming.pipeline import (
     StreamConfig,
+    StreamCounters,
     StreamPipeline,
     StreamResult,
 )
@@ -72,12 +74,9 @@ class StreamSoakReport:
 
     @property
     def accounted(self) -> int:
-        c = self.counters
-        return (
-            c["aggregated"] + c["late_dropped"]
-            + c["late_side"] + c["deduped"]
-            + c.get("quarantined", 0)
-        )
+        ledger = StreamCounters()
+        ledger.load_state(self.counters)
+        return ledger.accounted
 
     @property
     def ledger_closed(self) -> bool:
@@ -89,6 +88,23 @@ class StreamSoakReport:
         if not self.degradations:
             return 0.0
         return 1.0 - self.detected / len(self.degradations)
+
+    def problems(self, blind_threshold: float = 0.0) -> Tuple[Problem, ...]:
+        """What went wrong, in exit-code order (empty when clean).
+
+        ``blind_threshold`` is the largest tolerated fraction of
+        injected degradations the detector may miss.
+        """
+        out: List[Problem] = []
+        if not self.ledger_closed:
+            out.append((2, "accounting violation: the exactly-once ledger "
+                           "did not close"))
+        if self.blind_rate > blind_threshold:
+            out.append((3, f"detector blind: {self.detected}/"
+                           f"{len(self.degradations)} injected degradations "
+                           f"detected (blind rate {self.blind_rate:.2f} > "
+                           f"{blind_threshold:.2f})"))
+        return tuple(out)
 
     def counters_dict(self) -> Dict[str, int]:
         merged = dict(self.counters)

@@ -9,6 +9,7 @@ and loads the winner's artifact instead of rebuilding into the same
 
 import json
 import multiprocessing
+import threading
 import time
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 from repro.errors import LockTimeoutError
 from repro.io.jsonl import read_jsonl, write_jsonl
-from repro.io.locks import STALE_LOCK_S, file_lock
+from repro.io.locks import STALE_LOCK_S, file_lock, remove_lock_file
 from repro.perf.cache import ArtifactCache
 
 N_RECORDS = 50
@@ -49,6 +50,37 @@ class TestFileLock:
             pass
         with file_lock(target, timeout_s=0.1):
             pass
+
+    def test_holder_may_delete_the_lock_file(self, tmp_path):
+        # A waiter that wins the lock on the deleted inode must notice
+        # and lock a fresh file, or a third writer would get in beside it.
+        target = tmp_path / "artifact.jsonl"
+        lock_path = tmp_path / "artifact.jsonl.lock"
+        waiting, held, done = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def waiter():
+            waiting.set()
+            with file_lock(target, timeout_s=5.0, poll_s=0.01):
+                seen["file"] = lock_path.exists()
+                held.set()
+                done.wait(5.0)
+
+        with file_lock(target):
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            waiting.wait(5.0)
+            time.sleep(0.05)  # let the waiter open the old file and poll
+            remove_lock_file(target)
+        assert held.wait(5.0)
+        try:
+            assert seen["file"]
+            with pytest.raises(LockTimeoutError):
+                with file_lock(target, timeout_s=0.1, poll_s=0.01):
+                    pass
+        finally:
+            done.set()
+            thread.join(5.0)
 
 
 class TestFallbackLockfile:
@@ -101,6 +133,25 @@ class TestCacheBuildLock:
                     dump=lambda art, p: write_jsonl(p, art),
                 )
         assert cache.misses == 0  # never got as far as building
+
+    def test_dropped_entries_leave_no_lock_files(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        for kind in ("calls", "corpus"):
+            cache.load_or_build(
+                kind, {"n": 1},
+                build=lambda: [{"i": 1}],
+                load=read_jsonl,
+                dump=lambda art, p: write_jsonl(p, art),
+            )
+        assert sorted(p.name for p in root.glob("*.lock")) == sorted(
+            cache.path_for(kind, {"n": 1}).name + ".lock"
+            for kind in ("calls", "corpus")
+        )
+        cache.evict("calls", {"n": 1})
+        assert [p.name for p in root.glob("calls-*")] == []
+        assert cache.invalidate() == 1
+        assert sorted(p.name for p in root.iterdir()) == []
 
 
 def _slow_build():

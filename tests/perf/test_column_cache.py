@@ -396,9 +396,7 @@ class TestArtifactKinds:
             if p.suffix in (".jsonl", ".npz")
         )
         assert cache.invalidate() == len(ARTIFACT_KINDS)
-        left = sorted(p.name for p in tmp_path.iterdir()
-                      if not p.name.endswith(".lock"))
-        assert left == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_invalidate_kind_choices_are_the_cache_kinds(self):
         from repro.cli import build_parser

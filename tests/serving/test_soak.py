@@ -28,7 +28,7 @@ MIX = (("interactive", 0.6), ("batch", 0.3), ("monitoring", 0.1))
 QUERY = UsaasQuery(network="starlink", service="teams")
 
 
-def run_one(seed, deadline_s=DEADLINE_S, include_flaky=False):
+def run_one(seed, deadline_s=DEADLINE_S, include_flaky=False, max_pending=8):
     clock = ManualClock()
     plan = FaultPlan(seed=seed, clock=clock)
     service = synthetic_soak_service(
@@ -40,7 +40,9 @@ def run_one(seed, deadline_s=DEADLINE_S, include_flaky=False):
         rate_per_s=rate, duration_s=DURATION_S,
         priority_mix=MIX, deadline_s=deadline_s,
     ))
-    server = UsaasServer(service, max_pending=8, shed_policy="priority")
+    server = UsaasServer(
+        service, max_pending=max_pending, shed_policy="priority"
+    )
     report = run_soak(server, arrivals, query_for=lambda arrival: QUERY)
     return report, server
 
@@ -48,6 +50,21 @@ def run_one(seed, deadline_s=DEADLINE_S, include_flaky=False):
 @pytest.fixture(scope="module")
 def soak():
     return run_one(seed=7)
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+@pytest.mark.parametrize("max_pending", [4, 8])
+def test_saturated_admitted_latency_is_a_full_queue_wait(seed, max_pending):
+    """Under sustained overload an admitted interactive query waits out
+    a full queue: its latency is ``max_pending`` service times, for
+    every such query, so p50 == p99 (the constant the perf harness
+    records as ``serving_p50/p99_admitted_s``)."""
+    report, _ = run_one(seed, deadline_s=1.0, max_pending=max_pending)
+    wait = max_pending * estimated_service_time_s(SLOW_S)
+    interactive = report.metrics.counters("interactive").as_dict()
+    assert interactive["p50_latency_s"] == pytest.approx(wait)
+    assert interactive["p99_latency_s"] == pytest.approx(wait)
+    assert report.metrics.p99_latency_s() == pytest.approx(wait)
 
 
 class TestAcceptance:

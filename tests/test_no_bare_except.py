@@ -64,7 +64,8 @@ def test_strict_dirs_flag_narrow_swallow(tmp_path):
     """In the strict packages, even narrow swallows are banned."""
     tool = _load_tool()
     for subdir in (("repro", "perf"), ("repro", "resilience"),
-                   ("repro", "prediction")):
+                   ("repro", "prediction"), ("repro", "integrity"),
+                   ("repro", "serving"), ("repro", "streaming")):
         target = tmp_path.joinpath(*subdir)
         target.mkdir(parents=True, exist_ok=True)
         bad = target / "x.py"

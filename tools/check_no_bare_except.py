@@ -44,6 +44,8 @@ STRICT_DIRS = (
     ("repro", "resilience"),
     ("repro", "prediction"),
     ("repro", "integrity"),
+    ("repro", "serving"),
+    ("repro", "streaming"),
 )
 
 #: File stems under ``repro`` that are strict wherever they live: the
